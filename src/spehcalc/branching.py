@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import ArthurParameter, SpehDatum
+from .dsl import format_term
 from .relevance import (
     GGP_FAMILIES,
     STRONG_FAMILIES,
@@ -41,11 +42,6 @@ class BranchingVerdict:
     decider: str
 
 
-def _term_str(s: SpehDatum) -> str:
-    sym = s.rho.id if s.rho.degree == 1 else f"{s.rho.id}:{s.rho.degree}"
-    return f"u({sym};{s.a},{s.b})"
-
-
 def _require_restriction_pair(a1: ArthurParameter, a2: ArthurParameter) -> None:
     if a1.dim != a2.dim + 1:
         raise HypothesisError(f"not a (n, n-1) pair: dimensions {a1.dim} and {a2.dim}")
@@ -54,7 +50,7 @@ def _require_restriction_pair(a1: ArthurParameter, a2: ArthurParameter) -> None:
 def _require_segment_type(param: ArthurParameter) -> None:
     for s in param:
         if not s.is_segment_type:
-            raise HypothesisError(f"term {_term_str(s)} is not of segment type")
+            raise HypothesisError(f"term {format_term(s)} is not of segment type")
 
 
 def hom_branch_arthur(a1: ArthurParameter, a2: ArthurParameter) -> BranchingVerdict:
@@ -96,7 +92,10 @@ def _take(counter: Counter, key: SpehDatum) -> None:
         del counter[key]
 
 
-def _recursive_decide(s1: Counter, s2: Counter, memo: dict) -> bool:
+def _decide_step(s1: Counter, s2: Counter, memo: dict):
+    """One state of the peeling recursion, as a generator: it yields once
+    per child state (``s1``, ``s2`` mutated in place), is sent the child's
+    verdict, restores the state and returns its own verdict."""
     if not s1 and not s2:
         return True
     state = (_freeze(s1), _freeze(s2))
@@ -114,18 +113,36 @@ def _recursive_decide(s1: Counter, s2: Counter, memo: dict) -> bool:
     result = False
     _take(mine, term)
     if term.b == 1:
-        result = _recursive_decide(s1, s2, memo)
+        result = yield
     else:
         minus = SpehDatum(term.rho, term.a, term.b - 1)
         for candidate in dict.fromkeys((minus, az_dual_speh(minus))):
             if other[candidate] > 0:
                 _take(other, candidate)
-                result = _recursive_decide(s1, s2, memo)
+                result = yield
                 other[candidate] += 1
                 if result:
                     break
     mine[term] += 1
     memo[state] = result
+    return result
+
+
+def _recursive_decide(s1: Counter, s2: Counter) -> bool:
+    """Run ``_decide_step`` on an explicit stack, so the depth of the
+    recursion never meets the interpreter's recursion limit."""
+    memo: dict = {}
+    stack = [_decide_step(s1, s2, memo)]
+    result = None
+    while stack:
+        try:
+            stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(_decide_step(s1, s2, memo))
+            result = None
     return result
 
 
@@ -135,7 +152,7 @@ def ext_branch_recursive(a1: ArthurParameter, a2: ArthurParameter) -> bool:
     _require_restriction_pair(a1, a2)
     _require_segment_type(a1)
     _require_segment_type(a2)
-    return _recursive_decide(Counter(a1.terms), Counter(a2.terms), {})
+    return _recursive_decide(Counter(a1.terms), Counter(a2.terms))
 
 
 def same_group_ext_segment_type(a1: ArthurParameter, a2: ArthurParameter) -> bool:

@@ -3,7 +3,8 @@
 Every decision procedure is exposed as a subcommand whose verdict is the
 exit code: 0 for a true verdict (or plain success), 1 for a false
 verdict, 2 for usage or parse errors, 3 for a violated theorem
-hypothesis.  ``--json`` switches the output to machine-readable form and
+hypothesis, 4 for an internal error (so that no failure reads as a
+verdict).  ``--json`` switches the output to machine-readable form and
 ``--quiet`` suppresses stdout entirely, leaving the exit code as the sole
 verdict channel.
 """
@@ -55,6 +56,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
@@ -325,6 +327,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # bad argument values, e.g. split out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, MemoryError) as exc:  # RecursionError included
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

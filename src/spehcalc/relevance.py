@@ -154,102 +154,187 @@ def term_from_json(data: dict) -> SpehDatum:
     )
 
 
-# Search internals.  Both the decision procedure and the enumerator walk
-# the left multiset in descending (a+b, a) order; for a fixed left term
-# and family the right partner is value-determined, so the branching
-# factor is at most one drop plus one branch per family.
+# Search internals.  On term types with multiplicities a matching is a
+# capacitated bipartite matching that covers every term of Arthur
+# dimension > 1; left type t has one edge per family, to f.partner(t), so
+# at most four.  By the Mendelsohn-Dulmage theorem such a matching exists
+# exactly when one matching covers the required left terms and another
+# covers the required right terms, so ``_feasible`` is two augmenting-path
+# max flows on the type graph.
+#
+# ``_matchings`` walks the left types in ``_order`` (static: only the type
+# being assigned ever leaves the left side) and decides how many copies of
+# each take each option: a drop (when b == 1), then each family whose
+# partner is present.  Counts are tried from the largest down and a branch
+# is entered only when the oracle accepts the rest, with the unassigned
+# copies of the type restricted to its later options.  Every branch
+# entered therefore ends in a matching and no two leaves are equal, so
+# finding the first matching costs O(terms) oracle calls and enumeration
+# is polynomial per matching.  Identical copies are interchangeable, so
+# the first leaf, the lexicographically largest count vector, is the
+# matching a copy-by-copy search in the same order finds first.  The
+# counts feasible at one option form an interval (covering matchings are
+# the integer points of a totally unimodular system), so the scan stops
+# at the first rejection after an acceptance.
 
-def _pick(left: Counter) -> SpehDatum:
-    return min(left, key=lambda s: (-(s.a + s.b), -s.a, s.sort_key))
-
-
-def _freeze(counter: Counter) -> tuple:
-    return tuple(sorted(counter.items(), key=lambda kv: kv[0].sort_key))
-
-
-def _take(counter: Counter, key: SpehDatum) -> None:
-    counter[key] -= 1
-    if counter[key] == 0:
-        del counter[key]
-
-
-def _first_matching(
-    left: Counter,
-    right: Counter,
-    families: tuple[MoveFamily, ...],
-    failed: set,
-    pairs: list,
-    drops: list,
-) -> Optional[Matching]:
-    if not left:
-        if all(s.b == 1 for s in right):
-            return Matching(tuple(pairs), tuple(drops), tuple(right.elements()))
-        return None
-    state = (_freeze(left), _freeze(right))
-    if state in failed:
-        return None
-    t = _pick(left)
-    _take(left, t)
-    try:
-        if t.b == 1:
-            drops.append(t)
-            found = _first_matching(left, right, families, failed, pairs, drops)
-            drops.pop()
-            if found is not None:
-                return found
-        for family in families:
-            partner = family.partner(t)
-            if partner is None or right[partner] == 0:
-                continue
-            _take(right, partner)
-            pairs.append(MatchedPair(t, partner, family))
-            found = _first_matching(left, right, families, failed, pairs, drops)
-            pairs.pop()
-            right[partner] += 1
-            if found is not None:
-                return found
-    finally:
-        left[t] += 1
-    failed.add(state)
-    return None
+def _order(s: SpehDatum):
+    return (-(s.a + s.b), -s.a, s.sort_key)
 
 
-def _enumerate_matchings(
-    left: Counter,
-    right: Counter,
-    families: tuple[MoveFamily, ...],
-    out: dict,
-    pairs: list,
-    drops: list,
-) -> None:
-    if not left:
-        if all(s.b == 1 for s in right):
-            m = Matching(tuple(pairs), tuple(drops), tuple(right.elements()))
-            out[m.sort_key] = m
+def _saturates(demands: list, capacity: dict) -> bool:
+    """Whether every demand ``(need, neighbours)`` can draw ``need`` units
+    from its neighbours when neighbour ``v`` supplies at most
+    ``capacity[v]``: max flow by augmenting paths, searched breadth first."""
+    free = dict(capacity)
+    flow: Counter = Counter()  # (demand, neighbour) -> units drawn
+    users: dict = {}  # neighbour -> demands drawing from it
+    for i, (need, _) in enumerate(demands):
+        while need:
+            reached = {}  # neighbour -> the demand that reached it
+            via = {i: None}  # demand -> the neighbour it would release
+            queue, end = [i], None
+            for j in queue:
+                for v in demands[j][1]:
+                    if v in reached:
+                        continue
+                    reached[v] = j
+                    if free.get(v):
+                        end = v
+                        break
+                    for k in users.get(v, ()):
+                        if k not in via:
+                            via[k] = v
+                            queue.append(k)
+                if end is not None:
+                    break
+            if end is None:
+                return False
+            step = min(need, free[end])
+            j = reached[end]
+            while via[j] is not None:
+                step = min(step, flow[j, via[j]])
+                j = reached[via[j]]
+            free[end] -= step
+            need -= step
+            v = end
+            while v is not None:
+                j = reached[v]
+                flow[j, v] += step
+                users.setdefault(v, set()).add(j)
+                v = via[j]
+                if v is not None:
+                    flow[j, v] -= step
+                    if not flow[j, v]:
+                        users[v].discard(j)
+    return True
+
+
+def _feasible(vertices: list, right: Counter) -> bool:
+    """Whether the left vertices ``(copies, required, partners)`` and the
+    right multiset have a matching covering every required term; right
+    terms are required when their Arthur dimension exceeds 1."""
+    if not _saturates([(n, ps) for n, required, ps in vertices if required and n], right):
+        return False
+    required_right = {r: n for r, n in right.items() if n > 0 and r.b > 1}
+    reverse: dict = {r: [] for r in required_right}
+    for i, (_, _, ps) in enumerate(vertices):
+        for p in ps:
+            if p in reverse:
+                reverse[p].append(i)
+    return _saturates(
+        [(n, reverse[r]) for r, n in required_right.items()],
+        {i: n for i, (n, _, _) in enumerate(vertices)},
+    )
+
+
+def _type_graph(left: Counter, right: Counter, families: tuple[MoveFamily, ...]):
+    """The left types in search order, the options of each (``(None,
+    None)`` for a drop, else ``(family, partner)`` with the partner
+    present on the right) and the oracle vertex of each."""
+    order = sorted(left, key=_order)
+    options = [
+        ([(None, None)] if t.b == 1 else [])
+        + [(f, p) for f, p in ((f, f.partner(t)) for f in families) if p in right]
+        for t in order
+    ]
+    vertices = [
+        (left[t], t.b > 1, {p for f, p in opts if f is not None})
+        for t, opts in zip(order, options)
+    ]
+    return order, options, vertices
+
+
+def _matchings(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]):
+    """Every matching of the pair, each once, the first being the one a
+    copy-by-copy search in ``_order`` finds first."""
+    left, right = Counter(a1.terms), Counter(a2.terms)
+    order, options, vertices = _type_graph(left, right, families)
+    if not _feasible(vertices, right):
         return
-    t = _pick(left)
-    _take(left, t)
-    if t.b == 1:
-        drops.append(t)
-        _enumerate_matchings(left, right, families, out, pairs, drops)
-        drops.pop()
-    for family in families:
-        partner = family.partner(t)
-        if partner is None or right[partner] == 0:
+    # One level per (type, option); ``later`` holds the partners of the
+    # type's options after this one.
+    levels = [
+        (k, family, partner, {q for _, q in opts[j + 1:]})
+        for k, opts in enumerate(options)
+        for j, (family, partner) in enumerate(opts)
+    ]
+
+    def counts(level, rem):
+        """The feasible numbers of the ``rem`` unassigned copies that take
+        this level's option, largest first, each yielded with the number
+        still unassigned and applied to ``right`` while it is yielded."""
+        k, _, partner, later = level
+        top = rem if partner is None else min(rem, right[partner])
+        accepted = False
+        for c in range(top, -1 if later else rem - 1, -1):
+            if partner is not None:
+                right[partner] -= c
+            # With no copies left, or at the last option (which takes
+            # them all), the state is the one the previous level accepted.
+            ok = not later or not rem or _feasible(
+                [(rem - c, True, later)] + vertices[k + 1:], right
+            )
+            if ok:
+                yield c, rem - c
+            if partner is not None:
+                right[partner] += c
+            if ok:
+                accepted = True
+            elif accepted:
+                return
+
+    if not levels:
+        yield Matching((), (), tuple(right.elements()))
+        return
+    stack, chosen = [counts(levels[0], left[order[0]])], []
+    while stack:
+        depth = len(stack) - 1
+        step = next(stack[-1], None)
+        del chosen[depth:]
+        if step is None:
+            stack.pop()
             continue
-        _take(right, partner)
-        pairs.append(MatchedPair(t, partner, family))
-        _enumerate_matchings(left, right, families, out, pairs, drops)
-        pairs.pop()
-        right[partner] += 1
-    left[t] += 1
+        c, rest = step
+        chosen.append(c)
+        if depth + 1 < len(levels):
+            k = levels[depth + 1][0]
+            rem = rest if k == levels[depth][0] else left[order[k]]
+            stack.append(counts(levels[depth + 1], rem))
+            continue
+        pairs, drops = [], []
+        for (k, family, partner, _), n in zip(levels, chosen):
+            if family is None:
+                drops += [order[k]] * n
+            elif n:
+                pairs += [MatchedPair(order[k], partner, family)] * n
+        yield Matching(tuple(pairs), tuple(drops), tuple(right.elements()))
 
 
 def find_matching(
     a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]
 ) -> Optional[Matching]:
     """First matching of the pair under the given families, or None."""
-    return _first_matching(Counter(a1.terms), Counter(a2.terms), families, set(), [], [])
+    return next(_matchings(a1, a2, families), None)
 
 
 def enumerate_matchings(
@@ -261,19 +346,22 @@ def enumerate_matchings(
     never produces a new matching, while the same term pairing through
     two different families does.
     """
-    out: dict = {}
-    _enumerate_matchings(Counter(a1.terms), Counter(a2.terms), families, out, [], [])
-    return [out[k] for k in sorted(out)]
+    return sorted(_matchings(a1, a2, families), key=lambda m: m.sort_key)
+
+
+def _relevant(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]) -> bool:
+    left, right = Counter(a1.terms), Counter(a2.terms)
+    return _feasible(_type_graph(left, right, families)[2], right)
 
 
 def ggp_relevant(a1: ArthurParameter, a2: ArthurParameter) -> bool:
     """Relevance of the pair: matchable by Arthur-step moves alone."""
-    return find_matching(a1, a2, GGP_FAMILIES) is not None
+    return _relevant(a1, a2, GGP_FAMILIES)
 
 
 def strong_ext_relevant(a1: ArthurParameter, a2: ArthurParameter) -> bool:
     """Strong Ext relevance: matchable by all four move families."""
-    return find_matching(a1, a2, STRONG_FAMILIES) is not None
+    return _relevant(a1, a2, STRONG_FAMILIES)
 
 
 def enumerate_ggp_matchings(a1: ArthurParameter, a2: ArthurParameter) -> list[Matching]:

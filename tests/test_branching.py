@@ -107,6 +107,23 @@ class TestRecursiveDecider:
         assert agreements == 1500
         assert trues > 100  # the sample exercises both outcomes
 
+    def test_agreement_with_matcher_at_n_240(self):
+        rng = random.Random(72)
+        for _ in range(10):
+            a1 = random_segment_type_param(rng, 240)
+            a2 = random_segment_type_param(rng, 239)
+            verdict = ext_branch_segment_type(a1, a2)
+            assert verdict.nonvanishing == ext_branch_recursive(a1, a2), (a1, a2)
+            if verdict.certificate is not None:
+                verdict.certificate.validate(a1, a2)
+
+    def test_many_copies_do_not_meet_the_recursion_limit(self):
+        a1 = param(*[(RHO, 1, 1)] * 1500)
+        a2 = param(*[(RHO, 1, 1)] * 1499)
+        assert ext_branch_recursive(a1, a2)
+        verdict = ext_branch_segment_type(a1, a2)
+        assert verdict.certificate == Matching((), a1.terms, a2.terms)
+
     def test_max_term_on_right_side(self):
         # the maximal term sits in the smaller parameter
         a1 = param((RHO, 1, 2), (RHO, 1, 1), (RHO, 1, 1))

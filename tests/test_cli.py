@@ -179,6 +179,20 @@ class TestErrorChannels:
         assert code == 3
         assert "(n, n-1)" in err
 
+    def test_many_copies_decide_without_internal_error(self, capsys):
+        code, out, err = run(capsys, ["ext", "+".join(["rho"] * 1500), "+".join(["rho"] * 1499)])
+        assert code == 0
+        assert out.startswith("Ext != 0\n")
+        assert err == ""
+
+    def test_disagreeing_deciders_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr("spehcalc.cli.ext_branch_recursive", lambda a1, a2: False)
+        code, out, err = run(capsys, ["ext", "triv(3)", "st(2)"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: deciders disagree")
+        assert err.count("\n") == 1
+
     def test_quiet_errors_still_reported(self, capsys):
         code, _, err = run(capsys, ["ext", "--quiet", "u(rho;2,3)", "u(rho;3,1)+rho+rho"])
         assert code == 3

@@ -20,7 +20,7 @@ from spehcalc import (
     same_cuspidal_support,
     strong_ext_relevant,
 )
-from spehcalc.relevance import GGP_FAMILIES, STRONG_FAMILIES, enumerate_matchings
+from spehcalc.relevance import GGP_FAMILIES, STRONG_FAMILIES, enumerate_matchings, find_matching
 from _gen import random_pair, random_param
 from _oracles import oracle_matchings
 
@@ -61,6 +61,16 @@ class TestStrongRelevance:
         a1 = param((RHO, 2, 3))
         a2 = param((RHO, 3, 1), (RHO, 1, 1), (RHO, 1, 1))
         assert not strong_ext_relevant(a1, a2)
+
+    def test_augmenting_path_moves_only_what_it_can(self):
+        # u(rho;2,2) takes the one u(rho;2,3) first; u(rho;2,4) x 3 can get
+        # it back only by moving that one unit onto a u(rho;2,1), which
+        # still leaves two copies of u(rho;2,4) uncovered
+        a1 = param((RHO, 2, 3), *[(RHO, 2, 1)] * 5)
+        a2 = param((RHO, 2, 2), *[(RHO, 2, 4)] * 3)
+        assert not strong_ext_relevant(a1, a2)
+        assert not ggp_relevant(a1, a2)
+        assert oracle_matchings(a1, a2, STRONG_FAMILIES) == set()
 
 
 class TestEnumeration:
@@ -124,6 +134,61 @@ class TestEnumeration:
             a1, a2 = random_pair(rng)
             for m in enumerate_strong_matchings(a1, a2):
                 m.validate(a1, a2)
+
+
+def copies_family(copies):
+    """Sum over cuspidals rho of k x u(rho;1,3) + k x u(rho;2,2) against
+    k x u(rho;1,2) + k x u(rho;2,1) + k x u(rho;2,3): on each cuspidal the
+    strong matchings are counted by how many u(rho;2,2) take F2."""
+    left, right = [], []
+    for rho, k in copies.items():
+        left += [(rho, 1, 3)] * k + [(rho, 2, 2)] * k
+        right += [(rho, 1, 2)] * k + [(rho, 2, 1)] * k + [(rho, 2, 3)] * k
+    return param(*left), param(*right)
+
+
+class TestCopiesFamily:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_k_plus_one_strong_matchings(self, k):
+        a1, a2 = copies_family({RHO: k})
+        matchings = enumerate_strong_matchings(a1, a2)
+        assert len(matchings) == k + 1
+        assert len(set(matchings)) == k + 1
+        for m in matchings:
+            m.validate(a1, a2)
+        assert len(enumerate_ggp_matchings(a1, a2)) == 1
+
+    @pytest.mark.parametrize("ks", [(1, 1), (2, 3), (4, 1, 2), (3, 3, 3)])
+    def test_product_over_split_cuspidals(self, ks):
+        symbols = (ONE, RHO, CHI)
+        a1, a2 = copies_family(dict(zip(symbols, ks)))
+        expected = 1
+        for k in ks:
+            expected *= k + 1
+        assert len(enumerate_strong_matchings(a1, a2)) == expected
+        assert len(enumerate_ggp_matchings(a1, a2)) == 1
+
+
+class TestLargeInputs:
+    def test_distinct_droppable_terms(self):
+        # 1500 distinct left types: the search depth grows with them
+        a1 = param(*((RHO, i, 1) for i in range(1, 1501)))
+        a2 = param(*((RHO, i, 1) for i in range(1, 1500)))
+        all_drops = Matching((), a1.terms, a2.terms)
+        assert find_matching(a1, a2, STRONG_FAMILIES) == all_drops
+        assert enumerate_strong_matchings(a1, a2) == [all_drops]
+
+    def test_find_matching_is_one_of_enumeration(self):
+        rng = random.Random(68)
+        for _ in range(400):
+            a1, a2 = random_pair(rng)
+            for families in (GGP_FAMILIES, STRONG_FAMILIES):
+                first = find_matching(a1, a2, families)
+                matchings = enumerate_matchings(a1, a2, families)
+                if first is None:
+                    assert matchings == []
+                else:
+                    assert first in matchings
 
 
 class TestProperties:
