@@ -9,10 +9,9 @@ point anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -112,32 +111,55 @@ class TwistedCuspidal:
         return TwistedCuspidal(self.symbol, self.exponent + by)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CuspidalMultiset:
-    """A multiset of twisted cuspidals in canonical sorted order.
+    """A multiset of twisted cuspidals, stored as canonical runs.
 
-    The canonical order is (symbol id, degree, exponent), so equal
-    multisets always serialize byte-identically.
+    ``runs`` holds one (twist, multiplicity) pair per distinct twist, with
+    positive multiplicities, in the canonical order (symbol id, degree,
+    exponent), so equal multisets always serialize byte-identically.
+    ``entries`` and iteration expand the runs to the sorted twist
+    sequence.
     """
 
-    entries: tuple[TwistedCuspidal, ...] = ()
+    runs: tuple[tuple[TwistedCuspidal, int], ...]
 
-    def __post_init__(self) -> None:
-        canonical = tuple(sorted(self.entries, key=lambda t: t.sort_key))
-        object.__setattr__(self, "entries", canonical)
+    def __init__(self, entries: Iterable[TwistedCuspidal] = ()) -> None:
+        object.__setattr__(self, "runs", _canonical_runs((t, 1) for t in entries))
+
+    @classmethod
+    def _of(cls, runs: tuple[tuple[TwistedCuspidal, int], ...]) -> CuspidalMultiset:
+        """Wrap runs that are already canonical."""
+        multiset = object.__new__(cls)
+        object.__setattr__(multiset, "runs", runs)
+        return multiset
+
+    @property
+    def entries(self) -> tuple[TwistedCuspidal, ...]:
+        return tuple(self)
 
     def __iter__(self) -> Iterator[TwistedCuspidal]:
-        return iter(self.entries)
+        for t, m in self.runs:
+            for _ in range(m):
+                yield t
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(m for _, m in self.runs)
 
     def union(self, *others: CuspidalMultiset) -> CuspidalMultiset:
-        return CuspidalMultiset(tuple(itertools.chain(self.entries, *(o.entries for o in others))))
+        return CuspidalMultiset._of(_canonical_runs(r for o in (self, *others) for r in o.runs))
 
     @property
     def total_degree(self) -> int:
-        return sum(t.symbol.degree for t in self.entries)
+        return sum(t.symbol.degree * m for t, m in self.runs)
+
+
+def _canonical_runs(pairs: Iterable[tuple[TwistedCuspidal, int]]) -> tuple[tuple[TwistedCuspidal, int], ...]:
+    """Add up the multiplicities of equal twists and sort canonically."""
+    counts: dict[TwistedCuspidal, int] = {}
+    for t, m in pairs:
+        counts[t] = counts.get(t, 0) + m
+    return tuple(sorted(counts.items(), key=lambda r: r[0].sort_key))
 
 
 @dataclass(frozen=True)
@@ -198,23 +220,46 @@ def csupp_speh(s: SpehDatum) -> CuspidalMultiset:
 
     The support is { nu^(i+j) rho } with i ranging over the centered
     Deligne segment of length a and j over the centered Arthur segment of
-    length b; a*b elements counted with multiplicity.
+    length b; a*b elements counted with multiplicity.  Summing the
+    rectangle along its anti-diagonals gives a trapezoid: the k-th
+    doubled exponent -(a+b-2)+2k occurs min(k+1, a, b, a+b-1-k) times.
     """
-    entries = []
-    for i2 in range(-(s.a - 1), s.a, 2):
-        for j2 in range(-(s.b - 1), s.b, 2):
-            entries.append(TwistedCuspidal(s.rho, HalfInt(i2 + j2)))
-    return CuspidalMultiset(tuple(entries))
+    return csupp_param(ArthurParameter((s,)))
 
 
 def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
-    """Cuspidal support of a parameter: multiset union over its terms."""
-    return CuspidalMultiset(()).union(*(csupp_speh(s) for s in param))
+    """Cuspidal support of a parameter: multiset union over its terms.
+
+    Each term's trapezoid has second difference +1, -1, -1, +1 at
+    k = 0, min(a,b), a+b-min(a,b) and a+b.  The corners of all terms on
+    one cuspidal line go into one array indexed by the doubled exponent;
+    two prefix sums with stride 2 (one per parity) give the
+    multiplicities, in O(terms + span).
+    """
+    lines: dict[CuspidalSymbol, list[SpehDatum]] = {}
+    for s in param:  # canonical term order, so the symbols come out sorted
+        lines.setdefault(s.rho, []).append(s)
+    runs = []
+    for rho, terms in lines.items():
+        top = max(s.a + s.b for s in terms) - 2  # largest doubled exponent
+        count = [0] * (2 * top + 5)  # index = doubled exponent + top
+        for s in terms:
+            low = top - (s.a + s.b - 2)
+            short = min(s.a, s.b)
+            count[low] += 1
+            count[low + 2 * short] -= 1
+            count[low + 2 * (s.a + s.b - short)] -= 1
+            count[low + 2 * (s.a + s.b)] += 1
+        for _ in range(2):
+            for i in range(2, len(count)):
+                count[i] += count[i - 2]
+        runs += [(TwistedCuspidal(rho, HalfInt(i - top)), m) for i, m in enumerate(count) if m]
+    return CuspidalMultiset._of(tuple(runs))
 
 
 def in_cuspidal_lines(t: TwistedCuspidal, support: CuspidalMultiset) -> bool:
     """True when t lies in the cuspidal line of some element of support."""
-    return any(t.same_line(u) for u in support)
+    return any(t.same_line(u) for u, _ in support.runs)
 
 
 def central_exponent(support: CuspidalMultiset, total_degree: int | None = None) -> Fraction:
@@ -225,12 +270,12 @@ def central_exponent(support: CuspidalMultiset, total_degree: int | None = None)
     the segment midpoint.  ``total_degree``, when given, must agree with
     the degree carried by the support.
     """
-    if len(support) == 0:
+    if not support.runs:
         raise ValueError("undefined central exponent: empty cuspidal support")
     degree = support.total_degree
     if total_degree is not None and total_degree != degree:
         raise ValueError(
             f"total degree {total_degree} does not match support degree {degree}"
         )
-    weighted = sum(t.exponent.doubled * t.symbol.degree for t in support)
+    weighted = sum(t.exponent.doubled * t.symbol.degree * m for t, m in support.runs)
     return Fraction(weighted, 2 * degree)

@@ -363,10 +363,6 @@ def parse_support(text: str) -> CuspidalMultiset:
 # formatters: output is the canonical form
 
 
-def format_half(h: HalfInt) -> str:
-    return str(h)
-
-
 def format_symbol(symbol: CuspidalSymbol) -> str:
     if symbol.degree == 1:
         return symbol.id
@@ -392,11 +388,12 @@ def format_twisted(t: TwistedCuspidal) -> str:
 
 
 def format_support(support: CuspidalMultiset) -> str:
-    return "{" + ", ".join(format_twisted(t) for t in support) + "}"
+    """The sorted twist list; each run is formatted once and repeated."""
+    return "{" + ", ".join(", ".join([format_twisted(t)] * m) for t, m in support.runs) + "}"
 
 
 def format_segment(segment: Segment) -> str:
-    return f"[{format_half(segment.a)}..{format_half(segment.b)}]{{{format_symbol(segment.rho)}}}"
+    return f"[{segment.a}..{segment.b}]{{{format_symbol(segment.rho)}}}"
 
 
 def format_segment_rep(rep: SegmentRep) -> str:

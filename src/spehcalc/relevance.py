@@ -376,7 +376,11 @@ def enumerate_strong_matchings(a1: ArthurParameter, a2: ArthurParameter) -> list
 
 def same_cuspidal_support(a1: ArthurParameter, a2: ArthurParameter) -> bool:
     """Whether the two parameters restrict identically to the diagonal
-    SL2, equivalently carry the same cuspidal support."""
+    SL2, equivalently carry the same cuspidal support.
+
+    Both readings are computed on every call and must agree: the
+    restriction in O(sum of min(a, b)), the run-length supports in
+    O(terms + span)."""
     by_restriction = diagonal_restriction(a1) == diagonal_restriction(a2)
     by_support = csupp_param(a1) == csupp_param(a2)
     if by_restriction != by_support:

@@ -34,6 +34,15 @@ GOLDEN_ARGV = {
     ],
 }
 
+# csupp goldens were captured from the expanded-twist implementation
+CSUPP_PARAM = "u(rho;2,3) + u(sigma:2;3,3) + u(rho;1,2) + chi + u(rho;3,1)"
+CSUPP_GOLDEN_ARGV = {
+    "csupp_param": ["csupp", CSUPP_PARAM],
+    "csupp_param_json": ["csupp", "--json", CSUPP_PARAM],
+    "csupp_segment_rep": ["csupp", "Z[-1/2..5/2]{rho}"],
+    "csupp_segment_rep_json": ["csupp", "--json", "Z[-1/2..5/2]{rho}"],
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -46,6 +55,13 @@ def test_golden_output(capsys, name):
     code, out, _ = run(capsys, GOLDEN_ARGV[name])
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
     assert code == EXIT_CODES[name]
+
+
+@pytest.mark.parametrize("name", sorted(CSUPP_GOLDEN_ARGV))
+def test_csupp_golden_output(capsys, name):
+    code, out, _ = run(capsys, CSUPP_GOLDEN_ARGV[name])
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    assert code == 0
 
 
 class TestCalculatorCommands:
@@ -192,6 +208,16 @@ class TestErrorChannels:
         assert out == ""
         assert err.startswith("internal error: deciders disagree")
         assert err.count("\n") == 1
+
+    def test_support_restriction_disagreement_exit_4(self, capsys, monkeypatch):
+        # every restriction differs from every other, while the supports agree
+        monkeypatch.setattr("spehcalc.relevance.diagonal_restriction", lambda param: object())
+        code, out, err = run(capsys, ["samegroup", "triv(4)", "st(4)"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: diagonal restriction and cuspidal support disagree")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_quiet_errors_still_reported(self, capsys):
         code, _, err = run(capsys, ["ext", "--quiet", "u(rho;2,3)", "u(rho;3,1)+rho+rho"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spehcalc import (
@@ -16,13 +16,20 @@ from spehcalc import (
     SpehDatum,
     TwistedCuspidal,
     central_exponent,
+    clebsch_gordan,
     csupp_param,
     csupp_speh,
+    diagonal_restriction,
     in_cuspidal_lines,
+    same_cuspidal_support,
 )
+from spehcalc.dsl import format_support, format_twisted
 
 RHO = CuspidalSymbol("rho")
 SIGMA = CuspidalSymbol("sigma")
+
+
+LARGE_SYMBOLS = (RHO, SIGMA, CuspidalSymbol("tau", 2), CuspidalSymbol("omega", 3))
 
 
 def twists(symbol, *doubled):
@@ -158,3 +165,83 @@ class TestCentralExponent:
     def test_degree_mismatch_errors(self):
         with pytest.raises(ValueError, match="does not match"):
             central_exponent(twists(RHO, 0), 5)
+
+
+class TestRunLengthSupport:
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 7), (5, 1), (4, 4), (3, 8), (300, 300), (299, 2)])
+    def test_speh_support_has_one_run_per_exponent(self, a, b):
+        runs = csupp_speh(SpehDatum(RHO, a, b)).runs
+        assert len(runs) == a + b - 1
+        assert sum(m for _, m in runs) == a * b
+
+    def test_runs_are_canonical_whatever_the_input_order(self):
+        support = twists(RHO, 2, -2, 0, 2, 2)
+        assert support.runs == (
+            (TwistedCuspidal(RHO, HalfInt(-2)), 1),
+            (TwistedCuspidal(RHO, HalfInt(0)), 1),
+            (TwistedCuspidal(RHO, HalfInt(2)), 3),
+        )
+        assert support == twists(RHO, 2, 2, 0, 2, -2)
+        assert support.entries == tuple(support)
+
+
+def large_params():
+    """One to four terms with a, b up to 300 over cuspidals of degree 1
+    to 3."""
+    term = st.builds(SpehDatum, st.sampled_from(LARGE_SYMBOLS), st.integers(1, 300), st.integers(1, 300))
+    return st.lists(term, min_size=1, max_size=4).map(lambda ts: ArthurParameter(tuple(ts)))
+
+
+def clebsch_gordan_split(param: ArthurParameter) -> ArthurParameter:
+    """Every term u(rho;a,b) replaced by the segment terms u(rho;1,d), d
+    over the Clebsch-Gordan dimensions of V_a (x) V_b."""
+    return ArthurParameter(tuple(
+        SpehDatum(s.rho, 1, d) for s in param for d in clebsch_gordan(s.a, s.b)
+    ))
+
+
+def assert_summaries_match(support: CuspidalMultiset, expanded: list[TwistedCuspidal]) -> None:
+    """The run-length summaries of support equal those computed twist by
+    twist from its expanded sequence."""
+    degree = sum(t.symbol.degree for t in expanded)
+    weighted = sum(t.exponent.doubled * t.symbol.degree for t in expanded)
+    assert (len(support), support.total_degree) == (len(expanded), degree)
+    assert central_exponent(support) == Fraction(weighted, 2 * degree)
+    assert format_support(support) == "{" + ", ".join(format_twisted(t) for t in expanded) + "}"
+
+
+class TestLargeSupports:
+    @settings(max_examples=10, deadline=None)
+    @given(large_params())
+    def test_param_support_is_union_of_rectangles(self, param):
+        rectangles = [oracle_csupp_speh(s) for s in param]
+        assert csupp_param(param) == rectangles[0].union(*rectangles[1:])
+
+    @settings(max_examples=15, deadline=None)
+    @given(large_params())
+    def test_summaries_match_the_expanded_twists(self, param):
+        support = csupp_param(param)
+        assert len(support) == sum(s.a * s.b for s in param)
+        assert support.total_degree == param.dim
+        assert_summaries_match(support, list(support))
+
+    @given(st.lists(st.tuples(st.sampled_from(LARGE_SYMBOLS), st.integers(-9, 9)), min_size=1, max_size=40))
+    def test_summaries_of_uncentered_multisets(self, pairs):
+        expanded = sorted((TwistedCuspidal(rho, HalfInt(d)) for rho, d in pairs), key=lambda t: t.sort_key)
+        support = CuspidalMultiset(reversed(expanded))
+        assert list(support) == expanded
+        assert_summaries_match(support, expanded)
+
+    @settings(max_examples=25, deadline=None)
+    @given(large_params(), st.integers(0, 2), st.randoms(use_true_random=False))
+    def test_same_support_on_clebsch_gordan_splits(self, param, perturbation, rng):
+        split = list(clebsch_gordan_split(param).terms)
+        if perturbation == 1:  # drop one segment
+            split.pop(rng.randrange(len(split)))
+        elif perturbation == 2:  # move one segment to another cuspidal line
+            i = rng.randrange(len(split))
+            split[i] = SpehDatum(rng.choice(LARGE_SYMBOLS), split[i].a, split[i].b)
+        other = ArthurParameter(tuple(split))
+        expected = diagonal_restriction(param) == diagonal_restriction(other)
+        assert same_cuspidal_support(param, other) == expected
+        assert same_cuspidal_support(other, param) == expected

@@ -14,6 +14,7 @@ from spehcalc import (
     MoveFamily,
     SpehDatum,
     az_dual_param,
+    clebsch_gordan,
     enumerate_ggp_matchings,
     enumerate_strong_matchings,
     ggp_relevant,
@@ -264,3 +265,10 @@ class TestSameCuspidalSupport:
         for _ in range(200):
             a = random_param(rng)
             assert same_cuspidal_support(a, az_dual_param(a))
+
+    def test_huge_rectangle_against_its_clebsch_gordan_split(self):
+        # 4 * 10^8 twists a side: only the run-length supports make this cheap
+        a = param((RHO, 20000, 20000))
+        split = ArthurParameter(tuple(SpehDatum(RHO, 1, d) for d in clebsch_gordan(20000, 20000)))
+        assert same_cuspidal_support(a, split)
+        assert not same_cuspidal_support(a, ArthurParameter(split.terms[1:]))
