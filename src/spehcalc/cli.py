@@ -12,7 +12,6 @@ verdict channel.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -63,6 +62,8 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
     if args.quiet:
         return
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -327,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # bad argument values, e.g. split out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, MemoryError) as exc:  # RecursionError included
+    except Exception as exc:  # a fault of the program, e.g. an input too large to index
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

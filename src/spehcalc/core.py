@@ -9,20 +9,82 @@ point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
+class _Value:
+    """Base of the immutable value types: ``__slots__`` classes that are
+    equal, hash and sort by a flat ``sort_key`` of ints and strings.
+
+    A subclass's ``__init__`` checks its arguments, writes its fields
+    through ``_setters`` (its slots' own writers, in slot order, which get
+    past the ``__setattr__`` that refuses every assignment) and calls
+    ``_freeze`` with its ``sort_key``, whose hash is computed there, once.
+    Values are equal only to values of the same class with an equal key;
+    as the key is flat, equality and hashing never call into a nested
+    value.  ``repr`` and the refusals to
+    assign or delete are those of a frozen dataclass with the same fields;
+    ``__reduce__`` rebuilds a value through its constructor, so pickle and
+    copy work.
+    """
+
+    __slots__ = ("sort_key", "_hash")
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _freeze(self, sort_key: tuple) -> None:
+        _set_sort_key(self, sort_key)
+        _set_hash(self, hash(sort_key))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key == other.sort_key
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+_set_sort_key = _Value.sort_key.__set__
+_set_hash = _Value._hash.__set__
+
+
+class HalfInt(_Value):
     """An element of (1/2)Z, stored as twice its value.
 
     Addition, subtraction and comparison are exact integer arithmetic on
     the doubled value; ``is_integer`` is a parity test.
     """
 
-    doubled: int
+    __slots__ = ("doubled",)
+
+    def __init__(self, doubled: int) -> None:
+        (set_doubled,) = self._setters
+        set_doubled(self, doubled)
+        self._freeze((doubled,))
 
     @staticmethod
     def of(value: int) -> HalfInt:
@@ -34,7 +96,29 @@ class HalfInt:
 
     @property
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.doubled, 2)
+
+    def __lt__(self, other: HalfInt) -> bool:
+        if other.__class__ is not HalfInt:
+            return NotImplemented
+        return self.doubled < other.doubled
+
+    def __le__(self, other: HalfInt) -> bool:
+        if other.__class__ is not HalfInt:
+            return NotImplemented
+        return self.doubled <= other.doubled
+
+    def __gt__(self, other: HalfInt) -> bool:
+        if other.__class__ is not HalfInt:
+            return NotImplemented
+        return self.doubled > other.doubled
+
+    def __ge__(self, other: HalfInt) -> bool:
+        if other.__class__ is not HalfInt:
+            return NotImplemented
+        return self.doubled >= other.doubled
 
     def __add__(self, other: HalfInt | int) -> HalfInt:
         if isinstance(other, int):
@@ -66,41 +150,39 @@ def half_range(lo: HalfInt, hi: HalfInt) -> Iterator[HalfInt]:
         d += 2
 
 
-@dataclass(frozen=True)
-class CuspidalSymbol:
+class CuspidalSymbol(_Value):
     """An abstract unitary cuspidal: an opaque id plus its degree.
 
     Distinct ids are treated as non-isomorphic cuspidals lying in distinct
     cuspidal lines; no further structure is modelled.
     """
 
-    id: str
-    degree: int = 1
+    __slots__ = ("id", "degree")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, degree: int = 1) -> None:
+        if not id:
             raise ValueError("cuspidal symbol id must be non-empty")
-        if self.degree < 1:
-            raise ValueError(f"cuspidal symbol degree must be >= 1, got {self.degree}")
-
-    @property
-    def sort_key(self) -> tuple[str, int]:
-        return (self.id, self.degree)
+        if degree < 1:
+            raise ValueError(f"cuspidal symbol degree must be >= 1, got {degree}")
+        set_id, set_degree = self._setters
+        set_id(self, id)
+        set_degree(self, degree)
+        self._freeze((id, degree))
 
     def twist(self, exponent: HalfInt) -> TwistedCuspidal:
         return TwistedCuspidal(self, exponent)
 
 
-@dataclass(frozen=True)
-class TwistedCuspidal:
+class TwistedCuspidal(_Value):
     """nu^exponent applied to a cuspidal symbol."""
 
-    symbol: CuspidalSymbol
-    exponent: HalfInt
+    __slots__ = ("symbol", "exponent")
 
-    @property
-    def sort_key(self) -> tuple[str, int, int]:
-        return (self.symbol.id, self.symbol.degree, self.exponent.doubled)
+    def __init__(self, symbol: CuspidalSymbol, exponent: HalfInt) -> None:
+        set_symbol, set_exponent = self._setters
+        set_symbol(self, symbol)
+        set_exponent(self, exponent)
+        self._freeze((symbol.id, symbol.degree, exponent.doubled))
 
     def same_line(self, other: TwistedCuspidal) -> bool:
         """True when both twists lie in one cuspidal line: equal symbols
@@ -162,18 +244,20 @@ def _canonical_runs(pairs: Iterable[tuple[TwistedCuspidal, int]]) -> tuple[tuple
     return tuple(sorted(counts.items(), key=lambda r: r[0].sort_key))
 
 
-@dataclass(frozen=True)
-class SpehDatum:
+class SpehDatum(_Value):
     """The Speh representation u_rho(a, b): Deligne dimension a, Arthur
     dimension b over the cuspidal rho.  Total degree is n(rho)*a*b."""
 
-    rho: CuspidalSymbol
-    a: int
-    b: int
+    __slots__ = ("rho", "a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"Speh dimensions must be >= 1, got ({self.a}, {self.b})")
+    def __init__(self, rho: CuspidalSymbol, a: int, b: int) -> None:
+        if a < 1 or b < 1:
+            raise ValueError(f"Speh dimensions must be >= 1, got ({a}, {b})")
+        set_rho, set_a, set_b = self._setters
+        set_rho(self, rho)
+        set_a(self, a)
+        set_b(self, b)
+        self._freeze((rho.id, rho.degree, a, b))
 
     @property
     def degree(self) -> int:
@@ -183,10 +267,6 @@ class SpehDatum:
     def is_segment_type(self) -> bool:
         """True when one SL2 factor acts trivially (a = 1 or b = 1)."""
         return self.a == 1 or self.b == 1
-
-    @property
-    def sort_key(self) -> tuple[str, int, int, int]:
-        return (self.rho.id, self.rho.degree, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -250,9 +330,8 @@ def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
             count[low + 2 * short] -= 1
             count[low + 2 * (s.a + s.b - short)] -= 1
             count[low + 2 * (s.a + s.b)] += 1
-        for _ in range(2):
-            for i in range(2, len(count)):
-                count[i] += count[i - 2]
+        for parity in (0, 1):
+            count[parity::2] = accumulate(accumulate(count[parity::2]))
         runs += [(TwistedCuspidal(rho, HalfInt(i - top)), m) for i, m in enumerate(count) if m]
     return CuspidalMultiset._of(tuple(runs))
 
@@ -277,5 +356,7 @@ def central_exponent(support: CuspidalMultiset, total_degree: int | None = None)
         raise ValueError(
             f"total degree {total_degree} does not match support degree {degree}"
         )
+    from fractions import Fraction
+
     weighted = sum(t.exponent.doubled * t.symbol.degree * m for t, m in support.runs)
     return Fraction(weighted, 2 * degree)

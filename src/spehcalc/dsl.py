@@ -76,130 +76,123 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "ident" | "dotdot" | "punct" | "eof"
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
+_Tok = tuple[str, str, int, int]  # (kind, text, start, end)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[_Tok]:
+    """The tokens of text, whitespace dropped, in one pass, ending with an
+    ("eof", "", n, n) sentinel.  Kind is "int", "ident", "dotdot" or
+    "punct"; no two kinds share a text, so the parser tells punctuation
+    apart by its text alone."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                SourceSpan(pos, pos + 1),
-                frozenset({"token"}),
-            )
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        start, end = m.span()
+        if start != pos:
+            break  # the characters between two matches fit no token
+        pos = end
         kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append(_Token(kind, m.group(), m.start(), m.end()))
-    tokens.append(_Token("eof", "", len(text), len(text)))
+        if kind != "ws":
+            tokens.append((kind, m.group(), start, end))
+    if pos != len(text):
+        raise ParseError(
+            f"unexpected character {text[pos]!r}",
+            SourceSpan(pos, pos + 1),
+            frozenset({"token"}),
+        )
+    tokens.append(("eof", "", pos, pos))
     return tokens
+
+
+def _span(tok: _Tok) -> SourceSpan:
+    return SourceSpan(tok[2], tok[3])
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is text."""
+        if self.tokens[self.pos][1] == text:
             self.pos += 1
+            return True
+        return False
+
+    def fail(self, tok: _Tok, rule: str, expected: set[str]) -> ParseError:
+        shown = tok[1] if tok[0] != "eof" else "end of input"
+        return ParseError(f"{rule}: unexpected {shown!r}", _span(tok), frozenset(expected))
+
+    def expect_punct(self, text: str, rule: str) -> _Tok:
+        tok = self.tokens[self.pos]
+        if tok[1] != text:
+            raise self.fail(tok, rule, {f"'{text}'"})
+        self.pos += 1
         return tok
 
-    def fail(self, tok: _Token, rule: str, expected: set[str]) -> ParseError:
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        return ParseError(f"{rule}: unexpected {shown!r}", tok.span, frozenset(expected))
-
-    def expect_punct(self, text: str, rule: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
-            return self.advance()
-        raise self.fail(tok, rule, {f"'{text}'"})
-
     def expect_eof(self, rule: str) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
             raise self.fail(tok, rule, {"end of input"})
 
     # atoms
 
-    def parse_int(self, rule: str) -> tuple[int, _Token]:
-        tok = self.peek()
-        if tok.kind != "int":
+    def parse_int(self, rule: str) -> tuple[int, _Tok]:
+        tok = self.tokens[self.pos]
+        if tok[0] != "int":
             raise self.fail(tok, rule, {"integer"})
-        return int(self.advance().text), tok
+        self.pos += 1
+        return int(tok[1]), tok
 
     def parse_positive_int(self, rule: str) -> int:
         value, tok = self.parse_int(rule)
         if value < 1:
             raise ParseError(
                 f"{rule}: expected a positive integer, got {value}",
-                tok.span,
+                _span(tok),
                 frozenset({"positive integer"}),
             )
         return value
 
     def parse_half(self) -> HalfInt:
-        value, tok = self.parse_int("half-integer")
-        if self.peek().kind == "punct" and self.peek().text == "/":
-            self.advance()
+        value, _ = self.parse_int("half-integer")
+        if self.accept("/"):
             denom, denom_tok = self.parse_int("half-integer")
             if denom != 2:
                 raise ParseError(
                     "half-integer: denominator must be the literal 2",
-                    denom_tok.span,
+                    _span(denom_tok),
                     frozenset({"'2'"}),
                 )
             return HalfInt(value)
         return HalfInt.of(value)
 
     def parse_symbol(self) -> CuspidalSymbol:
-        tok = self.peek()
-        if tok.kind != "ident":
+        tok = self.tokens[self.pos]
+        if tok[0] != "ident":
             raise self.fail(tok, "symbol", {"identifier"})
-        if tok.text == PRODUCT_IDENT:
+        name = tok[1]
+        if name == PRODUCT_IDENT:
             raise ParseError(
                 f"symbol: {PRODUCT_IDENT!r} is the reserved product operator",
-                tok.span,
+                _span(tok),
                 frozenset({"identifier"}),
             )
-        self.advance()
-        degree = 1
-        if self.peek().kind == "punct" and self.peek().text == ":":
-            self.advance()
-            degree = self.parse_positive_int("symbol degree")
-        if tok.text == TRIVIAL_LINE and degree != 1:
+        self.pos += 1
+        degree = self.parse_positive_int("symbol degree") if self.accept(":") else 1
+        if name == TRIVIAL_LINE and degree != 1:
             raise ParseError(
                 f"symbol: reserved symbol {TRIVIAL_LINE!r} has degree 1",
-                tok.span,
+                _span(tok),
                 frozenset({"degree 1"}),
             )
-        return CuspidalSymbol(tok.text, degree)
+        return CuspidalSymbol(name, degree)
 
     def parse_segment_body(self) -> Segment:
         open_tok = self.expect_punct("[", "segment")
         a = self.parse_half()
-        tok = self.peek()
-        if tok.kind != "dotdot":
-            raise self.fail(tok, "segment", {"'..'"})
-        self.advance()
+        self.expect_punct("..", "segment")
         b = self.parse_half()
         close_tok = self.expect_punct("]", "segment")
         self.expect_punct("{", "segment")
@@ -210,29 +203,28 @@ class _Parser:
         except ValueError as exc:
             raise ParseError(
                 f"segment: {exc}",
-                SourceSpan(open_tok.start, close_tok.end),
+                SourceSpan(open_tok[2], close_tok[3]),
                 frozenset({"b - a a non-negative integer"}),
             ) from None
 
     # terms
 
     def parse_term(self) -> Union[SpehDatum, SegmentRep]:
-        tok = self.peek()
-        if tok.kind != "ident":
+        tok = self.tokens[self.pos]
+        if tok[0] != "ident":
             raise self.fail(tok, "term", {"'u('", "'triv('", "'st('", "'Z['", "'Q['", "symbol"})
-        following = self.peek(1)
-        if tok.text == "u" and following.kind == "punct" and following.text == "(":
+        name, following = tok[1], self.tokens[self.pos + 1][1]
+        if following == "(" and name == "u":
             return self.parse_u_term()
-        if tok.text in ("triv", "st") and following.kind == "punct" and following.text == "(":
-            return self.parse_named_term(tok.text)
-        if tok.text in ("Z", "Q") and following.kind == "punct" and following.text == "[":
-            self.advance()
-            return SegmentRep(tok.text, self.parse_segment_body())
+        if following == "(" and name in ("triv", "st"):
+            return self.parse_named_term(name)
+        if following == "[" and name in ("Z", "Q"):
+            self.pos += 1
+            return SegmentRep(name, self.parse_segment_body())
         return SpehDatum(self.parse_symbol(), 1, 1)
 
     def parse_u_term(self) -> SpehDatum:
-        self.advance()  # "u"
-        self.expect_punct("(", "Speh term")
+        self.pos += 2  # "u" "(", checked by parse_term
         symbol = self.parse_symbol()
         self.expect_punct(";", "Speh term")
         a = self.parse_positive_int("Speh term")
@@ -242,69 +234,57 @@ class _Parser:
         return SpehDatum(symbol, a, b)
 
     def parse_named_term(self, name: str) -> SpehDatum:
-        self.advance()  # "triv" / "st"
-        self.expect_punct("(", f"{name} term")
+        self.pos += 2  # "triv" / "st" and "(", checked by parse_term
         n = self.parse_positive_int(f"{name} term")
         self.expect_punct(")", f"{name} term")
         one = CuspidalSymbol(TRIVIAL_LINE, 1)
         return SpehDatum(one, 1, n) if name == "triv" else SpehDatum(one, n, 1)
 
-    def term_to_speh(self, term: Union[SpehDatum, SegmentRep], span: SourceSpan) -> SpehDatum:
-        if isinstance(term, SpehDatum):
+    def term_to_speh(self, term: Union[SpehDatum, SegmentRep], start: int, end: int) -> SpehDatum:
+        """The Speh datum of a parameter term that spans start..end."""
+        if term.__class__ is SpehDatum:
             return term
         try:
             return speh_from_segment_rep(term)
         except ValueError as exc:
             raise ParseError(
-                f"parameter term: {exc}", span, frozenset({"centered segment"})
+                f"parameter term: {exc}", SourceSpan(start, end), frozenset({"centered segment"})
             ) from None
 
-    def at_separator(self) -> bool:
-        tok = self.peek()
-        return (tok.kind == "punct" and tok.text == "+") or (
-            tok.kind == "ident" and tok.text == PRODUCT_IDENT
-        )
-
     def parse_param_or_rep(self) -> Union[ArthurParameter, SegmentRep]:
-        tok = self.peek()
-        if tok.kind == "int" and tok.text == "0" and self.peek(1).kind == "eof":
-            self.advance()
+        tokens = self.tokens
+        if tokens[0][1] == "0" and tokens[1][0] == "eof":
+            self.pos = 1
             return ArthurParameter(())
-        start = self.peek()
         first = self.parse_term()
-        if isinstance(first, SegmentRep) and self.peek().kind == "eof":
+        if isinstance(first, SegmentRep) and tokens[self.pos][0] == "eof":
             return first
-        end = self.tokens[self.pos - 1]
-        terms = [self.term_to_speh(first, SourceSpan(start.start, end.end))]
-        while self.at_separator():
-            self.advance()
-            start = self.peek()
+        terms = [self.term_to_speh(first, tokens[0][2], tokens[self.pos - 1][3])]
+        while tokens[self.pos][1] in ("+", PRODUCT_IDENT):
+            self.pos += 1
+            start = tokens[self.pos][2]
             term = self.parse_term()
-            end = self.tokens[self.pos - 1]
-            terms.append(self.term_to_speh(term, SourceSpan(start.start, end.end)))
+            terms.append(self.term_to_speh(term, start, tokens[self.pos - 1][3]))
         self.expect_eof("parameter")
         return ArthurParameter(tuple(terms))
 
     # supports
 
     def parse_twisted(self) -> TwistedCuspidal:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "nu" and self.peek(1).text == "^":
-            self.advance()
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind == "int":
-                self.advance()
-                exponent = HalfInt.of(int(exp_tok.text))
-            elif exp_tok.kind == "punct" and exp_tok.text == "(":
-                self.advance()
+        if self.tokens[self.pos][1] == "nu" and self.tokens[self.pos + 1][1] == "^":
+            self.pos += 2
+            exp_tok = self.tokens[self.pos]
+            if exp_tok[0] == "int":
+                self.pos += 1
+                exponent = HalfInt.of(int(exp_tok[1]))
+            elif self.accept("("):
                 numer, _ = self.parse_int("twist exponent")
                 self.expect_punct("/", "twist exponent")
                 denom, denom_tok = self.parse_int("twist exponent")
                 if denom != 2:
                     raise ParseError(
                         "twist exponent: denominator must be the literal 2",
-                        denom_tok.span,
+                        _span(denom_tok),
                         frozenset({"'2'"}),
                     )
                 self.expect_punct(")", "twist exponent")
@@ -316,12 +296,10 @@ class _Parser:
 
     def parse_support_body(self) -> CuspidalMultiset:
         self.expect_punct("{", "support")
-        if self.peek().kind == "punct" and self.peek().text == "}":
-            self.advance()
+        if self.accept("}"):
             return CuspidalMultiset(())
         entries = [self.parse_twisted()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
+        while self.accept(","):
             entries.append(self.parse_twisted())
         self.expect_punct("}", "support")
         return CuspidalMultiset(tuple(entries))
@@ -332,8 +310,7 @@ def parse_param(text: str) -> ArthurParameter:
     parser = _Parser(text)
     result = parser.parse_param_or_rep()
     if isinstance(result, SegmentRep):
-        end = parser.tokens[parser.pos - 1] if parser.pos else parser.peek()
-        return ArthurParameter((parser.term_to_speh(result, SourceSpan(0, end.end)),))
+        return ArthurParameter((parser.term_to_speh(result, 0, parser.tokens[parser.pos - 1][3]),))
     return result
 
 

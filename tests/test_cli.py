@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from spehcalc import Matching
+import spehcalc
+from spehcalc import Matching, ParseError, parse_param, parse_rep, parse_segment, parse_support
 from spehcalc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,6 +48,13 @@ CSUPP_GOLDEN_ARGV = {
 }
 
 
+# Parse-error goldens, captured before the one-pass tokenizer: for each
+# input, the error's text, span and expected set, and where a subcommand
+# reads that kind of input, its exit code, stdout and stderr.
+PARSE_ERRORS = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))
+PARSERS = {f.__name__: f for f in (parse_param, parse_rep, parse_segment, parse_support)}
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -62,6 +73,18 @@ def test_csupp_golden_output(capsys, name):
     code, out, _ = run(capsys, CSUPP_GOLDEN_ARGV[name])
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
     assert code == 0
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS, ids=[c["name"] for c in PARSE_ERRORS])
+def test_parse_error_golden(capsys, case):
+    with pytest.raises(ParseError) as info:
+        PARSERS[case["parser"]](case["text"])
+    err = info.value
+    assert str(err) == case["str"]
+    assert [err.span.start, err.span.end] == case["span"]
+    assert sorted(err.expected) == case["expected"]
+    if "argv" in case:
+        assert run(capsys, case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestCalculatorCommands:
@@ -219,7 +242,26 @@ class TestErrorChannels:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_input_too_large_to_index_exit_4(self, capsys):
+        code, out, err = run(capsys, ["csupp", "u(rho;99999999999999999999,1)"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_quiet_errors_still_reported(self, capsys):
         code, _, err = run(capsys, ["ext", "--quiet", "u(rho;2,3)", "u(rho;3,1)+rho+rho"])
         assert code == 3
         assert err != ""
+
+
+def test_import_leaves_json_and_fractions_unloaded():
+    """``import spehcalc.cli`` loads neither json nor fractions (nor the
+    decimal module that fractions pulls in); they load where used."""
+    src = str(Path(spehcalc.__file__).resolve().parents[1])
+    probe = "import sys, spehcalc.cli; print(sorted({'json', 'fractions', 'decimal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    # -S: no site hooks, which may import modules of their own
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -245,3 +248,81 @@ class TestLargeSupports:
         expected = diagonal_restriction(param) == diagonal_restriction(other)
         assert same_cuspidal_support(param, other) == expected
         assert same_cuspidal_support(other, param) == expected
+
+
+# The value-type contract: the behaviour every caller may rely on, whatever
+# the classes are built from.  Each entry is (value, an equal value built
+# separately, its fields by name, its repr).
+VALUES = [
+    (HalfInt(-3), HalfInt(-3), {"doubled": -3}, "HalfInt(doubled=-3)"),
+    (CuspidalSymbol("sigma", 2), CuspidalSymbol("sigma", 2), {"id": "sigma", "degree": 2},
+     "CuspidalSymbol(id='sigma', degree=2)"),
+    (TwistedCuspidal(RHO, HalfInt(5)), TwistedCuspidal(CuspidalSymbol("rho"), HalfInt(5)),
+     {"symbol": RHO, "exponent": HalfInt(5)},
+     "TwistedCuspidal(symbol=CuspidalSymbol(id='rho', degree=1), exponent=HalfInt(doubled=5))"),
+    (SpehDatum(CuspidalSymbol("sigma", 2), 3, 1), SpehDatum(CuspidalSymbol("sigma", 2), 3, 1),
+     {"rho": CuspidalSymbol("sigma", 2), "a": 3, "b": 1},
+     "SpehDatum(rho=CuspidalSymbol(id='sigma', degree=2), a=3, b=1)"),
+]
+VALUE_IDS = [type(v).__name__ for v, *_ in VALUES]
+contract = pytest.mark.parametrize("value,equal,fields,text", VALUES, ids=VALUE_IDS)
+
+
+class TestValueContract:
+    @contract
+    def test_equal_values_hash_equal(self, value, equal, fields, text):
+        assert value is not equal
+        assert value == equal and not value != equal
+        assert hash(value) == hash(equal)
+        assert {value: 1}[equal] == 1
+
+    @contract
+    def test_not_equal_to_fields_or_lookalike(self, value, equal, fields, text):
+        values = tuple(fields.values())
+        lookalike = dataclasses.make_dataclass(type(value).__name__, list(fields), frozen=True)(**fields)
+        assert value != values and values != value
+        assert value != lookalike and lookalike != value
+        assert len(values) > 1 or value != values[0]
+
+    @contract
+    def test_immutable(self, value, equal, fields, text):
+        name, field_value = next(iter(fields.items()))
+        with pytest.raises(AttributeError):
+            setattr(value, name, field_value)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1
+        assert value == equal and getattr(value, name) == field_value
+
+    @contract
+    def test_repr(self, value, equal, fields, text):
+        assert repr(value) == text
+
+    @contract
+    def test_pickle_and_copy_round_trip(self, value, equal, fields, text):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(value, protocol))
+            assert type(loaded) is type(value)
+            assert loaded == value and hash(loaded) == hash(value)
+        for copied in (copy.copy(value), copy.deepcopy(value)):
+            assert copied == value and hash(copied) == hash(value)
+            assert repr(copied) == text
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match=r"Speh dimensions must be >= 1, got \(0, 2\)"):
+            SpehDatum(RHO, 0, 2)
+        with pytest.raises(ValueError, match="cuspidal symbol degree must be >= 1, got 0"):
+            CuspidalSymbol("rho", 0)
+        with pytest.raises(ValueError, match="cuspidal symbol id must be non-empty"):
+            CuspidalSymbol("")
+
+    @given(st.integers(-50, 50), st.integers(-50, 50))
+    def test_half_int_ordering(self, x, y):
+        a, b = HalfInt(x), HalfInt(y)
+        assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+        assert sorted([b, a]) == [HalfInt(d) for d in sorted([y, x])]
+
+    def test_half_int_does_not_order_against_int(self):
+        with pytest.raises(TypeError):
+            HalfInt(1) < 2
