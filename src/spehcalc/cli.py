@@ -125,15 +125,11 @@ def _cmd_minus(args: argparse.Namespace) -> int:
             kept.append(reduced)
     result = ArthurParameter(tuple(kept))
     canonical = format_param(result)
+    dropped = [format_term(s) for s in sorted(dropped, key=lambda s: s.sort_key)]
     lines = [canonical, f"dim {result.dim}"]
     if dropped:
-        lines.append("dropped: " + ", ".join(format_term(s) for s in sorted(dropped, key=lambda s: s.sort_key)))
-    payload = {
-        "canonical": canonical,
-        "dim": result.dim,
-        "dropped": [format_term(s) for s in sorted(dropped, key=lambda s: s.sort_key)],
-    }
-    _emit(args, lines, payload)
+        lines.append("dropped: " + ", ".join(dropped))
+    _emit(args, lines, {"canonical": canonical, "dim": result.dim, "dropped": dropped})
     return EXIT_TRUE
 
 
@@ -169,26 +165,31 @@ def _verdict_exit(verdict: bool) -> int:
     return EXIT_TRUE if verdict else EXIT_FALSE
 
 
-def _cmd_relevant(args: argparse.Namespace) -> int:
-    a1, a2 = parse_param(args.expr1), parse_param(args.expr2)
-    matching = find_matching(a1, a2, GGP_FAMILIES)
-    verdict = matching is not None
-    lines = ["relevant" if verdict else "not relevant"]
-    if matching is not None:
-        lines.extend(_matching_lines(matching))
-    _emit(args, lines, {"verdict": verdict, "certificate": _matching_json(matching)})
+def _report(args: argparse.Namespace, verdict: bool, certificate: Optional[Matching],
+            true_line: str, false_line: str, **extra) -> int:
+    lines = [true_line if verdict else false_line]
+    if certificate is not None:
+        lines.extend(_matching_lines(certificate))
+    _emit(args, lines, {"verdict": verdict, "certificate": _matching_json(certificate), **extra})
     return _verdict_exit(verdict)
 
 
-def _cmd_strong(args: argparse.Namespace) -> int:
-    a1, a2 = parse_param(args.expr1), parse_param(args.expr2)
-    matching = find_matching(a1, a2, STRONG_FAMILIES)
-    verdict = matching is not None
-    lines = ["strong ext relevant" if verdict else "not strong ext relevant"]
-    if matching is not None:
-        lines.extend(_matching_lines(matching))
-    _emit(args, lines, {"verdict": verdict, "certificate": _matching_json(matching)})
-    return _verdict_exit(verdict)
+# command -> (certificate of a parameter pair or None, true line, false line)
+_VERDICTS = {
+    "relevant": (lambda a1, a2: find_matching(a1, a2, GGP_FAMILIES), "relevant", "not relevant"),
+    "strong": (
+        lambda a1, a2: find_matching(a1, a2, STRONG_FAMILIES),
+        "strong ext relevant",
+        "not strong ext relevant",
+    ),
+    "hom": (lambda a1, a2: hom_branch_arthur(a1, a2).certificate, "Hom != 0", "Hom = 0"),
+}
+
+
+def _cmd_verdict(args: argparse.Namespace) -> int:
+    certify, true_line, false_line = _VERDICTS[args.command]
+    certificate = certify(parse_param(args.expr1), parse_param(args.expr2))
+    return _report(args, certificate is not None, certificate, true_line, false_line)
 
 
 def _cmd_matchings(args: argparse.Namespace) -> int:
@@ -203,52 +204,21 @@ def _cmd_matchings(args: argparse.Namespace) -> int:
     return _verdict_exit(bool(matchings))
 
 
-def _cmd_hom(args: argparse.Namespace) -> int:
-    a1, a2 = parse_param(args.expr1), parse_param(args.expr2)
-    verdict = hom_branch_arthur(a1, a2)
-    lines = ["Hom != 0" if verdict.nonvanishing else "Hom = 0"]
-    if verdict.certificate is not None:
-        lines.extend(_matching_lines(verdict.certificate))
-    _emit(
-        args,
-        lines,
-        {"verdict": verdict.nonvanishing, "certificate": _matching_json(verdict.certificate)},
-    )
-    return _verdict_exit(verdict.nonvanishing)
-
-
 def _cmd_ext(args: argparse.Namespace) -> int:
     a1, a2 = parse_param(args.expr1), parse_param(args.expr2)
     certificate = None
-    if args.decider == "matcher":
-        verdict = ext_branch_segment_type(a1, a2)
-        nonvanishing = verdict.nonvanishing
-        certificate = verdict.certificate
-    elif args.decider == "recursive":
-        nonvanishing = ext_branch_recursive(a1, a2)
-    else:
-        verdict = ext_branch_segment_type(a1, a2)
+    if args.decider != "recursive":
+        certificate = ext_branch_segment_type(a1, a2).certificate
+    verdict = certificate is not None
+    if args.decider != "matcher":
         recursive = ext_branch_recursive(a1, a2)
-        if verdict.nonvanishing != recursive:
+        if args.decider == "both" and recursive != verdict:
             raise RuntimeError(
                 f"deciders disagree on ({args.expr1!r}, {args.expr2!r}): "
-                f"matcher={verdict.nonvanishing} recursive={recursive}"
+                f"matcher={verdict} recursive={recursive}"
             )
-        nonvanishing = verdict.nonvanishing
-        certificate = verdict.certificate
-    lines = ["Ext != 0" if nonvanishing else "Ext = 0"]
-    if certificate is not None:
-        lines.extend(_matching_lines(certificate))
-    _emit(
-        args,
-        lines,
-        {
-            "verdict": nonvanishing,
-            "decider": args.decider,
-            "certificate": _matching_json(certificate),
-        },
-    )
-    return _verdict_exit(nonvanishing)
+        verdict = recursive
+    return _report(args, verdict, certificate, "Ext != 0", "Ext = 0", decider=args.decider)
 
 
 def _cmd_samegroup(args: argparse.Namespace) -> int:
@@ -298,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=_cmd_jacquet)
 
-    add("relevant", _cmd_relevant, "relevance of a parameter pair", ["expr1", "expr2"])
-    add("strong", _cmd_strong, "strong Ext relevance of a parameter pair", ["expr1", "expr2"])
+    add("relevant", _cmd_verdict, "relevance of a parameter pair", ["expr1", "expr2"])
+    add("strong", _cmd_verdict, "strong Ext relevance of a parameter pair", ["expr1", "expr2"])
     add("matchings", _cmd_matchings, "enumerate all strong matchings", ["expr1", "expr2"])
-    add("hom", _cmd_hom, "Hom branching verdict for a (n, n-1) pair", ["expr1", "expr2"])
+    add("hom", _cmd_verdict, "Hom branching verdict for a (n, n-1) pair", ["expr1", "expr2"])
 
     p = add("ext", _cmd_ext, "Ext branching verdict for a segment-type (n, n-1) pair", ["expr1", "expr2"])
     p.add_argument("--decider", choices=["matcher", "recursive", "both"], default="both")

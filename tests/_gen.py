@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from spehcalc import ArthurParameter, CuspidalSymbol, SpehDatum, clebsch_gordan
-from spehcalc.relevance import STRONG_FAMILIES
+from spehcalc.relevance import STRONG_FAMILIES, MoveFamily
 
 SYMBOLS = (
     CuspidalSymbol("one"),
@@ -42,6 +42,56 @@ def random_segment_type_param(rng: random.Random, dim: int, symbols=SYMBOLS,
             terms.append(SpehDatum(rho, 1, length))
         remaining -= rho.degree * length
     return ArthurParameter(tuple(terms))
+
+
+def segment_type_draw(seed: int, n: int, index: int, **kwargs):
+    """The index-th (n, n-1) pair of ``random_segment_type_param`` draws
+    from ``random.Random(seed)``, counting from 1."""
+    rng = random.Random(seed)
+    for _ in range(index):
+        pair = random_segment_type_param(rng, n, **kwargs), random_segment_type_param(rng, n - 1, **kwargs)
+    return pair
+
+
+# Two false draws: three cuspidal lines with 97 and 104 terms, and one
+# line with 344 and 304 terms.  The peeling recursion that the level sweep
+# replaced took 7-10 s and 63 s on them.
+LARGE_FALSE_DRAWS = {
+    "three_lines_n480": {"seed": 480, "n": 480, "index": 4},
+    "one_line_n3840": {"seed": 24 * 3840, "n": 3840, "index": 3, "symbols": SYMBOLS[:1], "max_len": 24},
+}
+
+
+def random_segment_type_related_pair(rng: random.Random, pairs: int, symbols=SYMBOLS,
+                                     max_len: int = 6):
+    """A segment-type pair of dimensions n and n-1 that is matchable by
+    construction: ``pairs`` strong-family pairs of segment-type terms and
+    some droppable terms u(rho;c,1), then droppable terms on a degree-1
+    line in ``symbols`` until the dimensions differ by exactly one."""
+    terms1, terms2 = [], []
+    for _ in range(pairs):
+        rho = rng.choice(symbols)
+        if rng.random() < 0.2:
+            rng.choice((terms1, terms2)).append(SpehDatum(rho, rng.randint(1, max_len), 1))
+            continue
+        family = rng.choice(STRONG_FAMILIES)
+        if family in (MoveFamily.F1, MoveFamily.F3):
+            left = SpehDatum(rho, 1, rng.randint(2, max_len))
+        elif family is MoveFamily.F2:
+            left = SpehDatum(rho, 1, rng.randint(1, max_len - 1))
+        else:
+            left = SpehDatum(rho, rng.randint(1, max_len - 1), 1)
+        terms1.append(left)
+        terms2.append(family.partner(left))
+    unit = next(s for s in symbols if s.degree == 1)
+    excess = sum(s.degree for s in terms1) - sum(s.degree for s in terms2) - 1
+    short = terms2 if excess > 0 else terms1
+    excess = abs(excess)
+    while excess:
+        length = min(excess, rng.randint(1, max_len))
+        short.append(SpehDatum(unit, length, 1))
+        excess -= length
+    return ArthurParameter(tuple(terms1)), ArthurParameter(tuple(terms2))
 
 
 def random_param_bounded(rng: random.Random, max_total: int = 30,

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spehcalc import (
     Matching,
@@ -22,7 +25,15 @@ from spehcalc import (
     speh_pair_same_group,
     strong_ext_relevant,
 )
-from _gen import random_generic_pair, random_pair, random_segment_type_param
+from _gen import (
+    LARGE_FALSE_DRAWS,
+    SYMBOLS,
+    random_generic_pair,
+    random_pair,
+    random_segment_type_param,
+    random_segment_type_related_pair,
+    segment_type_draw,
+)
 
 ONE = CuspidalSymbol("one")
 RHO = CuspidalSymbol("rho")
@@ -130,6 +141,53 @@ class TestRecursiveDecider:
         a2 = param((RHO, 3, 1))
         expected = ext_branch_segment_type(a1, a2).nonvanishing
         assert ext_branch_recursive(a1, a2) == expected
+
+
+class TestRecursiveDeciderCost:
+    """The level sweep visits occupied levels only: neither the number of
+    terms nor their Arthur dimensions may make it slow."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_FALSE_DRAWS))
+    def test_large_false_draws(self, name):
+        a1, a2 = segment_type_draw(**LARGE_FALSE_DRAWS[name])
+        start = time.perf_counter()
+        assert not ext_branch_recursive(a1, a2)
+        assert time.perf_counter() - start < 2
+        assert not ext_branch_segment_type(a1, a2).nonvanishing
+
+    def test_huge_arthur_dimensions(self):
+        a1, a2 = param((RHO, 1, 10**9)), param((RHO, 1, 10**9 - 1))
+        start = time.perf_counter()
+        assert ext_branch_recursive(a1, a2)
+        assert time.perf_counter() - start < 2
+        assert ext_branch_segment_type(a1, a2).nonvanishing
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(100, 4000),
+    st.integers(1, 3),
+    st.integers(2, 24),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_large_pairs_agree_with_matcher(size, lines, max_len, related, seed):
+    """Both Ext deciders agree on segment-type pairs of 100 to 4000 terms
+    a side, matchable by construction or drawn independently."""
+    rng = random.Random(seed)
+    symbols = SYMBOLS[:lines]
+    if related:
+        a1, a2 = random_segment_type_related_pair(rng, size, symbols, max_len)
+    else:
+        n = size * (max_len + 1) // 2  # about `size` terms of mean length
+        a1 = random_segment_type_param(rng, n, symbols, max_len)
+        a2 = random_segment_type_param(rng, n - 1, symbols, max_len)
+    verdict = ext_branch_segment_type(a1, a2)
+    assert ext_branch_recursive(a1, a2) == verdict.nonvanishing
+    if related:
+        assert verdict.nonvanishing
+    if verdict.certificate is not None:
+        verdict.certificate.validate(a1, a2)
 
 
 class TestSameGroup:

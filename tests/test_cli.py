@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import spehcalc
-from spehcalc import Matching, ParseError, parse_param, parse_rep, parse_segment, parse_support
+from spehcalc import Matching, ParseError, format_param, parse_param, parse_rep, parse_segment, parse_support
 from spehcalc.cli import main
+from _gen import LARGE_FALSE_DRAWS, segment_type_draw
 
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
@@ -36,6 +37,12 @@ GOLDEN_ARGV = {
         "u(one;1,7) + u(one;5,1) + chi",
         "u(one;1,6) + u(one;6,1)",
     ],
+    # captured before relevant, strong and hom shared one verdict handler
+    "hom_st2_triv1": ["hom", "st(2)", "triv(1)"],
+    "hom_st2_triv1_json": ["hom", "--json", "st(2)", "triv(1)"],
+    "relevant_st2_triv1_json": ["relevant", "--json", "st(2)", "triv(1)"],
+    "relevant_triv3_st2": ["relevant", "triv(3)", "st(2)"],
+    "strong_triv3_st2": ["strong", "triv(3)", "st(2)"],
 }
 
 # csupp goldens were captured from the expanded-twist implementation
@@ -223,6 +230,16 @@ class TestErrorChannels:
         assert code == 0
         assert out.startswith("Ext != 0\n")
         assert err == ""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_FALSE_DRAWS))
+    def test_large_false_draws_exit_1(self, capsys, name):
+        a1, a2 = segment_type_draw(**LARGE_FALSE_DRAWS[name])
+        assert run(capsys, ["ext", format_param(a1), format_param(a2)]) == (1, "Ext = 0\n", "")
+
+    def test_huge_arthur_dimensions_exit_0(self, capsys):
+        code, out, err = run(capsys, ["ext", "u(rho;1,1000000000)", "u(rho;1,999999999)"])
+        assert (code, err) == (0, "")
+        assert out == "Ext != 0\n  F1: u(rho;1,1000000000) -> u(rho;1,999999999)\n"
 
     def test_disagreeing_deciders_exit_4(self, capsys, monkeypatch):
         monkeypatch.setattr("spehcalc.cli.ext_branch_recursive", lambda a1, a2: False)
