@@ -55,9 +55,10 @@ CSUPP_GOLDEN_ARGV = {
 }
 
 
-# Parse-error goldens, captured before the one-pass tokenizer: for each
-# input, the error's text, span and expected set, and where a subcommand
-# reads that kind of input, its exit code, stdout and stderr.
+# Parse-error goldens, captured before the one-pass tokenizer (the entries
+# from "u_term_as_symbol" on, before whole Speh terms became one token): for
+# each input, the error's text, span and expected set, and where a
+# subcommand reads that kind of input, its exit code, stdout and stderr.
 PARSE_ERRORS = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))
 PARSERS = {f.__name__: f for f in (parse_param, parse_rep, parse_segment, parse_support)}
 
