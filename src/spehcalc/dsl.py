@@ -19,13 +19,22 @@ Grammar (whitespace free between tokens):
 ident "x" is reserved; "one" names the trivial-character line and always
 has degree 1.  The formatters emit the canonical form: terms in canonical
 order, u(...) syntax, " + " separators.
+
+Text is read through one of two token streams.  The plain stream has one
+token per integer, identifier or punctuation mark; parse_segment and
+parse_support read only this one.  The parameter stream, for parse_param
+and parse_rep, adds one token for each whole u(sym[:deg];a,b) term that
+parse_u_term would accept, so a canonical term costs one regex match.  If
+the parameter stream raises ParseError, the text is read again over the
+plain stream, so every error, with its message, span and expected set,
+comes from the plain stream.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .core import (
     ArthurParameter,
@@ -64,35 +73,51 @@ class ParseError(Exception):
         return f"{self.message} at {self.span.start}..{self.span.end} (expected {names})"
 
 
-_TOKEN_RE = re.compile(
-    r"""
+_TOKENS = r"""
       (?P<ws>\s+)
     | (?P<int>-?[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<dotdot>\.\.)
     | (?P<punct>[+;,(){}\[\]:/^])
-    """,
+    """
+_TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
+
+# The parameter stream: one more, leading alternative that takes a whole
+# u(sym[:deg];a,b) term, with the whitespace around it, exactly when
+# parse_u_term accepts it: sym is not "x", "one" has no degree but 1, and
+# the degree, a and b are positive.  Groups 2-5 are sym, deg, a and b.
+_POSITIVE = r"0*[1-9][0-9]*"
+_PARAM_TOKEN_RE = re.compile(
+    rf"""
+      (?P<speh>\s*u\(
+        (?!x[:;])(?!one:(?!0*1;))([A-Za-z_][A-Za-z0-9_]*)
+        (?::({_POSITIVE}))?
+        ;({_POSITIVE}),({_POSITIVE})\)\s*)
+    | {_TOKENS}""",
     re.VERBOSE,
 )
 
 
-_Tok = tuple[str, str, int, int]  # (kind, text, start, end)
+_Tok = tuple[str, Union[str, tuple], int, int]  # (kind, text, start, end)
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[_Tok]:
     """The tokens of text, whitespace dropped, in one pass, ending with an
     ("eof", "", n, n) sentinel.  Kind is "int", "ident", "dotdot" or
     "punct"; no two kinds share a text, so the parser tells punctuation
-    apart by its text alone."""
+    apart by its text alone.  On the parameter stream a whole Speh term is
+    one "speh" token whose text is the tuple (sym, deg or None, a, b)."""
     tokens = []
     pos = 0
-    for m in _TOKEN_RE.finditer(text):
+    for m in token_re.finditer(text):
         start, end = m.span()
         if start != pos:
             break  # the characters between two matches fit no token
         pos = end
         kind = m.lastgroup
-        if kind != "ws":
+        if kind == "speh":
+            tokens.append((kind, m.group(2, 3, 4, 5), start, end))
+        elif kind != "ws":
             tokens.append((kind, m.group(), start, end))
     if pos != len(text):
         raise ParseError(
@@ -109,9 +134,10 @@ def _span(tok: _Tok) -> SourceSpan:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, token_re: re.Pattern = _TOKEN_RE):
+        self.tokens = _tokenize(text, token_re)
         self.pos = 0
+        self.symbols: dict[tuple, CuspidalSymbol] = {}  # per "speh" (sym, deg)
 
     def accept(self, text: str) -> bool:
         """Consume the next token if its text is text."""
@@ -211,6 +237,14 @@ class _Parser:
 
     def parse_term(self) -> Union[SpehDatum, SegmentRep]:
         tok = self.tokens[self.pos]
+        if tok[0] == "speh":
+            self.pos += 1
+            name, degree, a, b = tok[1]
+            rho = self.symbols.get((name, degree))
+            if rho is None:
+                rho = CuspidalSymbol(name, int(degree) if degree else 1)
+                self.symbols[name, degree] = rho
+            return SpehDatum(rho, int(a), int(b))
         if tok[0] != "ident":
             raise self.fail(tok, "term", {"'u('", "'triv('", "'st('", "'Z['", "'Q['", "symbol"})
         name, following = tok[1], self.tokens[self.pos + 1][1]
@@ -268,6 +302,12 @@ class _Parser:
         self.expect_eof("parameter")
         return ArthurParameter(tuple(terms))
 
+    def parse_param(self) -> ArthurParameter:
+        result = self.parse_param_or_rep()
+        if isinstance(result, SegmentRep):
+            return ArthurParameter((self.term_to_speh(result, 0, self.tokens[self.pos - 1][3]),))
+        return result
+
     # supports
 
     def parse_twisted(self) -> TwistedCuspidal:
@@ -305,20 +345,26 @@ class _Parser:
         return CuspidalMultiset(tuple(entries))
 
 
+def _read_param_text(text: str, read: Callable[[_Parser], object]):
+    """read(parser) over the parameter stream of text.  If that fails, the
+    text is read again over the plain stream, which returns the value or
+    raises the error: every error comes from the plain stream."""
+    try:
+        return read(_Parser(text, _PARAM_TOKEN_RE))
+    except ParseError:
+        pass
+    return read(_Parser(text))
+
+
 def parse_param(text: str) -> ArthurParameter:
     """Parse an Arthur parameter; segment-rep terms must be centered."""
-    parser = _Parser(text)
-    result = parser.parse_param_or_rep()
-    if isinstance(result, SegmentRep):
-        return ArthurParameter((parser.term_to_speh(result, 0, parser.tokens[parser.pos - 1][3]),))
-    return result
+    return _read_param_text(text, _Parser.parse_param)
 
 
 def parse_rep(text: str) -> Union[ArthurParameter, SegmentRep]:
     """Parse either a parameter or a lone (possibly non-centered) Z/Q
     segment representation."""
-    parser = _Parser(text)
-    return parser.parse_param_or_rep()
+    return _read_param_text(text, _Parser.parse_param_or_rep)
 
 
 def parse_segment(text: str) -> Segment:

@@ -1,14 +1,18 @@
 """Round trips of large parameters through the parser: hundreds to a few
-thousand terms over many cuspidals, in every spelling the grammar allows."""
+thousand terms over many cuspidals, in every spelling the grammar allows.
+Also: the parameter token stream, with one token per Speh term, agrees with
+the plain per-token stream, in values and in errors."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spehcalc import ArthurParameter, CuspidalSymbol, SpehDatum, format_param, parse_param
+from spehcalc import ArthurParameter, CuspidalSymbol, ParseError, SpehDatum, format_param, parse_param, parse_rep
+from spehcalc import dsl
 
 # Names include the keywords that are plain symbols when not followed by
 # "(" or "[", and "one", the trivial line, which has degree 1.
@@ -56,20 +60,101 @@ def spell(terms: list[SpehDatum], rng: random.Random) -> str:
     return "".join(parts) + rng.choice(SPACES)
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(100, 3000), st.integers(0, 2**32))
-def test_large_parameters_round_trip(n, seed):
-    # a seeded generator, not st.randoms(): that would draw every choice
-    # from Hypothesis, thousands of draws an example
-    rng = random.Random(seed)
+def random_terms(rng: random.Random, n: int) -> list[SpehDatum]:
     pool = symbol_pool(rng)
     terms = []
     for _ in range(n):
         a, b = rng.choice(((1, 1), (1, rng.randint(1, 40)), (rng.randint(1, 40), 1),
                            (rng.randint(1, 9), rng.randint(1, 9))))
         terms.append(SpehDatum(rng.choice(pool), a, b))
+    return terms
+
+
+# a seeded generator, not st.randoms(): that would draw every choice from
+# Hypothesis, thousands of draws an example
+@settings(max_examples=12, deadline=None)
+@given(st.integers(100, 3000), st.integers(0, 2**32))
+def test_large_parameters_round_trip(n, seed):
+    rng = random.Random(seed)
+    terms = random_terms(rng, n)
     param = ArthurParameter(tuple(terms))
     assert parse_param(spell(terms, rng)) == param
     text = format_param(param)
     assert parse_param(text) == param
     assert format_param(parse_param(text)) == text
+
+
+# The parameter stream against the plain one
+
+MUTATIONS = "u();,:+x01- "
+
+
+def outcome(read, text):
+    """The value read from text, or the error's text, span and expected set."""
+    try:
+        return read(text)
+    except ParseError as err:
+        return str(err), err.span, err.expected
+
+
+def plain_param(text: str) -> ArthurParameter:
+    return dsl._Parser(text).parse_param()
+
+
+def plain_rep(text: str):
+    return dsl._Parser(text).parse_param_or_rep()
+
+
+def assert_streams_agree(text: str) -> None:
+    assert outcome(parse_param, text) == outcome(plain_param, text)
+    assert outcome(parse_rep, text) == outcome(plain_rep, text)
+
+
+def mutated(text: str, rng: random.Random) -> str:
+    """text with one character inserted, deleted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    edit = rng.randrange(3)
+    if edit == 0:
+        return text[:i] + rng.choice(MUTATIONS) + text[i:]
+    if edit == 1:
+        return text[:i] + text[i + 1:]
+    return text[:i] + rng.choice(MUTATIONS) + text[i + 1:]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(100, 3000), st.integers(0, 2**32))
+def test_canonical_texts_parse_as_on_the_plain_stream(n, seed):
+    rng = random.Random(seed)
+    text = format_param(ArthurParameter(tuple(random_terms(rng, n))))
+    assert_streams_agree(text)
+    assert_streams_agree(mutated(text, rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32))
+def test_mutated_short_texts_parse_as_on_the_plain_stream(n, seed):
+    # one edit in a few terms lands on every part of a u-term in turn
+    rng = random.Random(seed)
+    text = format_param(ArthurParameter(tuple(random_terms(rng, n))))
+    assert_streams_agree(mutated(text, rng))
+
+
+@pytest.mark.parametrize("text", [
+    "u(u(rho;1,1);1,1)", "u(a;1,1)u(b;1,1)", "u(rho;1,1)xu(tau;2,1)", "mu(rho;1,2)",
+    "u(one:2;1,1)", "u(one:01;2,1)", "u(one:1:1;1,1)", "u(x;1,1)", "u(x:2;1,1)", "u(xu;1,1)",
+    "u(rho;01,2)", "u(rho;-1,2)", "u(rho;0,2)", "u(rho:0;1,1)", "u( rho;1,1)", "u (rho;1,1)",
+    "2u(rho;1,1)", "u(rho;1,1)2", "u(rho;1,1) x", "0 + u(rho;1,1)", "Z[-1/2..1/2]{rho}u(rho;1,1)",
+    "Z[0..0]{u(rho;1,1)}", "u(rho;1,1)\u00a0+\u2003u(rho;2,2)",
+])
+def test_edge_cases_parse_as_on_the_plain_stream(text):
+    assert_streams_agree(text)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**32))
+def test_canonical_terms_are_one_token_each(n, seed):
+    # N terms, N - 1 "+" and the end: a regex slip that sends terms down
+    # the per-token path would otherwise show only in the timings
+    param = ArthurParameter(tuple(random_terms(random.Random(seed), n)))
+    tokens = dsl._tokenize(format_param(param), dsl._PARAM_TOKEN_RE)
+    assert len(tokens) <= 2 * n + 1
