@@ -111,12 +111,12 @@ def random_param_bounded(rng: random.Random, max_total: int = 30,
 
 
 def random_related_pair(rng: random.Random, families=STRONG_FAMILIES,
-                        max_terms: int = 4, max_dim: int = 5):
+                        max_terms: int = 4, max_dim: int = 5, symbols=SYMBOLS):
     """A pair that is matchable by construction: build the matching first,
     then read off the two parameters."""
     terms1, terms2 = [], []
     for _ in range(rng.randint(0, max_terms)):
-        rho = rng.choice(SYMBOLS)
+        rho = rng.choice(symbols)
         left = SpehDatum(rho, rng.randint(1, max_dim), rng.randint(1, max_dim))
         family = rng.choice(families)
         partner = family.partner(left)
@@ -127,7 +127,7 @@ def random_related_pair(rng: random.Random, families=STRONG_FAMILIES,
             terms2.append(partner)
     for side in (terms1, terms2):
         for _ in range(rng.randint(0, 2)):
-            side.append(SpehDatum(rng.choice(SYMBOLS), rng.randint(1, max_dim), 1))
+            side.append(SpehDatum(rng.choice(symbols), rng.randint(1, max_dim), 1))
     return ArthurParameter(tuple(terms1)), ArthurParameter(tuple(terms2))
 
 

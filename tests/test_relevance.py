@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spehcalc import (
     ArthurParameter,
@@ -18,11 +22,12 @@ from spehcalc import (
     enumerate_ggp_matchings,
     enumerate_strong_matchings,
     ggp_relevant,
+    parse_param,
     same_cuspidal_support,
     strong_ext_relevant,
 )
 from spehcalc.relevance import GGP_FAMILIES, STRONG_FAMILIES, enumerate_matchings, find_matching
-from _gen import random_pair, random_param
+from _gen import SYMBOLS, random_pair, random_param, random_related_pair
 from _oracles import oracle_matchings
 
 ONE = CuspidalSymbol("one")
@@ -190,6 +195,89 @@ class TestLargeInputs:
                     assert matchings == []
                 else:
                     assert first in matchings
+
+
+# First certificates captured from the whole-pair search, before the
+# matcher split a pair by cuspidal line: ``random_related_pair`` pairs of
+# up to 20-320 terms over one to four lines, built from the strong or the
+# GGP families, at three of the sizes also with one unmatchable line
+# added; k-copies families over several lines; two empty parameters; and
+# droppable terms on three lines against nothing.  For each family set the
+# first certificate (null when there is none) and, for pairs with at most
+# 30 matchings, the whole sorted enumeration.
+FIRST_MATCHINGS = json.loads(
+    (Path(__file__).parent / "golden" / "first_matchings.json").read_text(encoding="utf-8")
+)
+FAMILY_SETS = {"ggp": GGP_FAMILIES, "strong": STRONG_FAMILIES}
+
+
+@pytest.mark.parametrize("case", FIRST_MATCHINGS, ids=[c["name"] for c in FIRST_MATCHINGS])
+def test_first_matching_golden(case):
+    a1, a2 = parse_param(case["left"]), parse_param(case["right"])
+    for name, families in FAMILY_SETS.items():
+        first = find_matching(a1, a2, families)
+        assert (None if first is None else first.to_json_dict()) == case["first"][name]
+        if name in case["all"]:
+            matchings = enumerate_matchings(a1, a2, families)
+            assert [m.to_json_dict() for m in matchings] == case["all"][name]
+
+
+class TestLineMerge:
+    def test_empty_pair_has_one_empty_matching(self):
+        empty = ArthurParameter(())
+        for families in (GGP_FAMILIES, STRONG_FAMILIES):
+            assert enumerate_matchings(empty, empty, families) == [Matching()]
+            assert find_matching(empty, empty, families) == Matching()
+
+    def test_droppable_terms_on_three_lines_against_nothing(self):
+        droppable = param((ONE, 2, 1), (RHO, 1, 1), (CuspidalSymbol("sigma", 2), 3, 1))
+        empty = ArthurParameter(())
+        for families in (GGP_FAMILIES, STRONG_FAMILIES):
+            drop_left = Matching((), droppable.terms, ())
+            assert enumerate_matchings(droppable, empty, families) == [drop_left]
+            assert find_matching(droppable, empty, families) == drop_left
+            drop_right = Matching((), (), droppable.terms)
+            assert enumerate_matchings(empty, droppable, families) == [drop_right]
+            assert find_matching(empty, droppable, families) == drop_right
+
+
+def on_line(a: ArthurParameter, rho: CuspidalSymbol) -> ArthurParameter:
+    return ArthurParameter(tuple(s for s in a if s.rho == rho))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(50, 640),
+    st.integers(1, 4),
+    st.sampled_from(sorted(FAMILY_SETS)),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_lines_are_independent(size, lines, built, broken, seed):
+    """A pair of up to 640 terms a side over one to four cuspidal lines,
+    matchable by construction unless one term was then removed: its first
+    certificate is the union of its lines' first certificates, and it is
+    relevant exactly when every line is."""
+    rng = random.Random(seed)
+    symbols = SYMBOLS + (CHI,)
+    a1, a2 = random_related_pair(rng, FAMILY_SETS[built], size, 6, symbols[:lines])
+    if broken and len(a1):
+        removed = rng.randrange(len(a1))
+        a1 = ArthurParameter(a1.terms[:removed] + a1.terms[removed + 1:])
+    rhos = sorted({s.rho for s in a1.terms + a2.terms}, key=lambda r: r.sort_key)
+    restricted = [(on_line(a1, rho), on_line(a2, rho)) for rho in rhos]
+    for relevant in (ggp_relevant, strong_ext_relevant):
+        assert relevant(a1, a2) == all(relevant(b1, b2) for b1, b2 in restricted)
+    for families in (GGP_FAMILIES, STRONG_FAMILIES):
+        whole = find_matching(a1, a2, families)
+        parts = [find_matching(b1, b2, families) for b1, b2 in restricted]
+        assert (whole is None) == any(part is None for part in parts)
+        if whole is None:
+            continue
+        for rho, part in zip(rhos, parts):
+            assert part.pairs == tuple(p for p in whole.pairs if p.left.rho == rho)
+            assert part.dropped_left == tuple(s for s in whole.dropped_left if s.rho == rho)
+            assert part.dropped_right == tuple(s for s in whole.dropped_right if s.rho == rho)
 
 
 class TestProperties:
