@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Optional
 
 from .core import ArthurParameter, CuspidalSymbol, SpehDatum, csupp_param
@@ -37,16 +38,22 @@ class MoveFamily(Enum):
     def partner(self, left: SpehDatum) -> Optional[SpehDatum]:
         """The unique right-side term this family pairs with ``left``, or
         None when the family degenerates (step down from Arthur dim 1)."""
-        if self is MoveFamily.F1:
-            return SpehDatum(left.rho, left.a, left.b - 1) if left.b >= 2 else None
-        if self is MoveFamily.F2:
-            return SpehDatum(left.rho, left.a, left.b + 1)
-        if self is MoveFamily.F3:
-            return SpehDatum(left.rho, left.b - 1, left.a) if left.b >= 2 else None
-        return SpehDatum(left.rho, left.b, left.a + 1)
+        a, b = _PARTNER_KEYS[self](left.a, left.b)
+        return SpehDatum(left.rho, a, b) if a and b else None
 
     def compatible(self, left: SpehDatum, right: SpehDatum) -> bool:
         return self.partner(left) == right
+
+
+# The (a, b) of the right term each family pairs with a left u_rho(a, b);
+# a step down from Arthur dimension 1 gives a key with a zero, which no
+# term has.
+_PARTNER_KEYS = {
+    MoveFamily.F1: lambda a, b: (a, b - 1),
+    MoveFamily.F2: lambda a, b: (a, b + 1),
+    MoveFamily.F3: lambda a, b: (b - 1, a),
+    MoveFamily.F4: lambda a, b: (b, a + 1),
+}
 
 
 GGP_FAMILIES = (MoveFamily.F1, MoveFamily.F2)
@@ -157,36 +164,46 @@ def term_from_json(data: dict) -> SpehDatum:
 # Search internals.  On term types with multiplicities a matching is a
 # capacitated bipartite matching that covers every term of Arthur
 # dimension > 1; left type t has one edge per family, to f.partner(t), so
-# at most four.  By the Mendelsohn-Dulmage theorem such a matching exists
-# exactly when one matching covers the required left terms and another
-# covers the required right terms, so ``_feasible`` is two augmenting-path
-# max flows on the type graph.
+# at most four.  Every family keeps rho, so a pair is one independent
+# matching problem per cuspidal line, and ``_line_graphs`` builds one type
+# graph per line: the line's right types are indexed 0..R-1 with their
+# counts in a list, and each left type finds its partners by the plain
+# (a, b) keys of ``_PARTNER_KEYS``, so the search below hashes, compares
+# and builds no ``SpehDatum``.  By the Mendelsohn-Dulmage theorem a line
+# has a matching exactly when one matching covers its required left terms
+# and another covers its required right terms, so ``_feasible`` is two
+# augmenting-path max flows on the line's graph.  Every line is checked
+# before any line is searched, so a pair with one bad line costs at most
+# one oracle call per line.
 #
-# ``_matchings`` walks the left types in ``_order`` (static: only the type
-# being assigned ever leaves the left side) and decides how many copies of
-# each take each option: a drop (when b == 1), then each family whose
-# partner is present.  Counts are tried from the largest down and a branch
-# is entered only when the oracle accepts the rest, with the unassigned
-# copies of the type restricted to its later options.  Every branch
-# entered therefore ends in a matching and no two leaves are equal, so
-# finding the first matching costs O(terms) oracle calls and enumeration
-# is polynomial per matching.  Identical copies are interchangeable, so
-# the first leaf, the lexicographically largest count vector, is the
-# matching a copy-by-copy search in the same order finds first.  The
-# counts feasible at one option form an interval (covering matchings are
-# the integer points of a totally unimodular system), so the scan stops
-# at the first rejection after an acceptance.
+# ``_line_matchings`` walks a line's left types in ``_order`` (static:
+# only the type being assigned ever leaves the left side) and decides how
+# many copies of each take each option: a drop (when b == 1), then each
+# family whose partner is present.  Counts are tried from the largest
+# down and a branch is entered only when the oracle accepts the rest, with
+# the unassigned copies of the type restricted to its later options.
+# Every branch entered therefore ends in a matching and no two leaves are
+# equal, so finding a line's first matching costs O(terms) oracle calls
+# and enumeration is polynomial per matching.  Identical copies are
+# interchangeable, so the first leaf, the lexicographically largest count
+# vector, is the matching a copy-by-copy search in the same order finds
+# first.  The lines are independent, so the lexicographically largest
+# count vector of the whole pair, however its lines' levels interleave,
+# is the product of the lines' first leaves: certificates do not depend
+# on the split.  The counts feasible at one option form an interval
+# (covering matchings are the integer points of a totally unimodular
+# system), so the scan stops at the first rejection after an acceptance.
 
 def _order(s: SpehDatum):
     return (-(s.a + s.b), -s.a, s.sort_key)
 
 
-def _saturates(demands: list, capacity: dict) -> bool:
+def _saturates(demands: list, capacity: list) -> bool:
     """Whether every demand ``(need, neighbours)`` can draw ``need`` units
     from its neighbours when neighbour ``v`` supplies at most
     ``capacity[v]``: max flow by augmenting paths, searched breadth first."""
-    free = dict(capacity)
-    flow: Counter = Counter()  # (demand, neighbour) -> units drawn
+    free = list(capacity)
+    flow: dict = {}  # (demand, neighbour) -> units drawn
     users: dict = {}  # neighbour -> demands drawing from it
     for i, (need, _) in enumerate(demands):
         while need:
@@ -198,7 +215,7 @@ def _saturates(demands: list, capacity: dict) -> bool:
                     if v in reached:
                         continue
                     reached[v] = j
-                    if free.get(v):
+                    if free[v]:
                         end = v
                         break
                     for k in users.get(v, ()):
@@ -219,7 +236,7 @@ def _saturates(demands: list, capacity: dict) -> bool:
             v = end
             while v is not None:
                 j = reached[v]
-                flow[j, v] += step
+                flow[j, v] = flow.get((j, v), 0) + step
                 users.setdefault(v, set()).add(j)
                 v = via[j]
                 if v is not None:
@@ -229,48 +246,63 @@ def _saturates(demands: list, capacity: dict) -> bool:
     return True
 
 
-def _feasible(vertices: list, right: Counter) -> bool:
+def _feasible(vertices: list, counts: list, required: list) -> bool:
     """Whether the left vertices ``(copies, required, partners)`` and the
-    right multiset have a matching covering every required term; right
-    terms are required when their Arthur dimension exceeds 1."""
-    if not _saturates([(n, ps) for n, required, ps in vertices if required and n], right):
+    right types with ``counts`` have a matching covering every required
+    term; ``required`` lists the right types of Arthur dimension > 1."""
+    if not _saturates([(n, ps) for n, req, ps in vertices if req and n], counts):
         return False
-    required_right = {r: n for r, n in right.items() if n > 0 and r.b > 1}
-    reverse: dict = {r: [] for r in required_right}
+    reverse: dict = {r: [] for r in required if counts[r]}
     for i, (_, _, ps) in enumerate(vertices):
         for p in ps:
             if p in reverse:
                 reverse[p].append(i)
     return _saturates(
-        [(n, reverse[r]) for r, n in required_right.items()],
-        {i: n for i, (n, _, _) in enumerate(vertices)},
+        [(counts[r], users) for r, users in reverse.items()], [n for n, _, _ in vertices]
     )
 
 
-def _type_graph(left: Counter, right: Counter, families: tuple[MoveFamily, ...]):
-    """The left types in search order, the options of each (``(None,
-    None)`` for a drop, else ``(family, partner)`` with the partner
-    present on the right) and the oracle vertex of each."""
-    order = sorted(left, key=_order)
-    options = [
-        ([(None, None)] if t.b == 1 else [])
-        + [(f, p) for f, p in ((f, f.partner(t)) for f in families) if p in right]
-        for t in order
-    ]
-    vertices = [
-        (left[t], t.b > 1, {p for f, p in opts if f is not None})
-        for t, opts in zip(order, options)
-    ]
-    return order, options, vertices
-
-
-def _matchings(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]):
-    """Every matching of the pair, each once, the first being the one a
-    copy-by-copy search in ``_order`` finds first."""
+def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]):
+    """The type graph of each cuspidal line of the pair, or None as soon
+    as one line has no matching.  A graph holds the line's left types in
+    search order, the options of each (``(None, None)`` for a drop, else
+    ``(family, i)`` with right type ``i`` the partner), the oracle vertex
+    of each, the line's right types, their counts and the indices of the
+    required ones."""
     left, right = Counter(a1.terms), Counter(a2.terms)
-    order, options, vertices = _type_graph(left, right, families)
-    if not _feasible(vertices, right):
-        return
+    lines: dict = {}
+    for t in left:
+        lines.setdefault(t.rho, ([], []))[0].append(t)
+    for t in right:
+        lines.setdefault(t.rho, ([], []))[1].append(t)
+    keys = [(f, _PARTNER_KEYS[f]) for f in families]
+    graphs = []
+    for lefts, rights in lines.values():
+        index = {(r.a, r.b): i for i, r in enumerate(rights)}
+        order = sorted(lefts, key=_order)
+        options = []
+        for t in order:
+            partners = ((f, index.get(key(t.a, t.b))) for f, key in keys)
+            options.append(
+                ([(None, None)] if t.b == 1 else []) + [(f, i) for f, i in partners if i is not None]
+            )
+        vertices = [
+            (left[t], t.b > 1, {i for f, i in opts if f is not None})
+            for t, opts in zip(order, options)
+        ]
+        counts = [right[r] for r in rights]
+        required = [i for i, r in enumerate(rights) if r.b > 1]
+        if not _feasible(vertices, counts, required):
+            return None
+        graphs.append((order, options, vertices, rights, counts, required))
+    return graphs
+
+
+def _line_matchings(graph):
+    """Every matching of one feasible line as ``(pairs, dropped left,
+    dropped right)`` lists, each once, the first being the one a
+    copy-by-copy search in ``_order`` finds first."""
+    order, options, vertices, rights, counts, required = graph
     # One level per (type, option); ``later`` holds the partners of the
     # type's options after this one.
     levels = [
@@ -279,34 +311,45 @@ def _matchings(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFam
         for j, (family, partner) in enumerate(opts)
     ]
 
-    def counts(level, rem):
+    def step_counts(level, rem):
         """The feasible numbers of the ``rem`` unassigned copies that take
         this level's option, largest first, each yielded with the number
-        still unassigned and applied to ``right`` while it is yielded."""
+        still unassigned and applied to ``counts`` while it is yielded."""
         k, _, partner, later = level
-        top = rem if partner is None else min(rem, right[partner])
+        top = rem if partner is None else min(rem, counts[partner])
         accepted = False
         for c in range(top, -1 if later else rem - 1, -1):
             if partner is not None:
-                right[partner] -= c
+                counts[partner] -= c
             # With no copies left, or at the last option (which takes
             # them all), the state is the one the previous level accepted.
             ok = not later or not rem or _feasible(
-                [(rem - c, True, later)] + vertices[k + 1:], right
+                [(rem - c, True, later)] + vertices[k + 1:], counts, required
             )
             if ok:
                 yield c, rem - c
             if partner is not None:
-                right[partner] += c
+                counts[partner] += c
             if ok:
                 accepted = True
             elif accepted:
                 return
 
+    def leaf(chosen):
+        pairs, drops, dropped_right = [], [], []
+        for (k, family, partner, _), n in zip(levels, chosen):
+            if family is None:
+                drops += [order[k]] * n
+            elif n:
+                pairs += [MatchedPair(order[k], rights[partner], family)] * n
+        for r, n in zip(rights, counts):
+            dropped_right += [r] * n
+        return pairs, drops, dropped_right
+
     if not levels:
-        yield Matching((), (), tuple(right.elements()))
+        yield leaf(())
         return
-    stack, chosen = [counts(levels[0], left[order[0]])], []
+    stack, chosen = [step_counts(levels[0], vertices[0][0])], []
     while stack:
         depth = len(stack) - 1
         step = next(stack[-1], None)
@@ -318,23 +361,30 @@ def _matchings(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFam
         chosen.append(c)
         if depth + 1 < len(levels):
             k = levels[depth + 1][0]
-            rem = rest if k == levels[depth][0] else left[order[k]]
-            stack.append(counts(levels[depth + 1], rem))
+            rem = rest if k == levels[depth][0] else vertices[k][0]
+            stack.append(step_counts(levels[depth + 1], rem))
             continue
-        pairs, drops = [], []
-        for (k, family, partner, _), n in zip(levels, chosen):
-            if family is None:
-                drops += [order[k]] * n
-            elif n:
-                pairs += [MatchedPair(order[k], partner, family)] * n
-        yield Matching(tuple(pairs), tuple(drops), tuple(right.elements()))
+        yield leaf(chosen)
+
+
+def _merge(leaves) -> Matching:
+    """One matching of the pair from one matching of each line."""
+    pairs, dropped_left, dropped_right = [], [], []
+    for p, dl, dr in leaves:
+        pairs += p
+        dropped_left += dl
+        dropped_right += dr
+    return Matching(tuple(pairs), tuple(dropped_left), tuple(dropped_right))
 
 
 def find_matching(
     a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]
 ) -> Optional[Matching]:
     """First matching of the pair under the given families, or None."""
-    return next(_matchings(a1, a2, families), None)
+    graphs = _line_graphs(a1, a2, families)
+    if graphs is None:
+        return None
+    return _merge(next(_line_matchings(g)) for g in graphs)
 
 
 def enumerate_matchings(
@@ -346,12 +396,15 @@ def enumerate_matchings(
     never produces a new matching, while the same term pairing through
     two different families does.
     """
-    return sorted(_matchings(a1, a2, families), key=lambda m: m.sort_key)
+    graphs = _line_graphs(a1, a2, families)
+    if graphs is None:
+        return []
+    per_line = [list(_line_matchings(g)) for g in graphs]
+    return sorted(map(_merge, product(*per_line)), key=lambda m: m.sort_key)
 
 
 def _relevant(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]) -> bool:
-    left, right = Counter(a1.terms), Counter(a2.terms)
-    return _feasible(_type_graph(left, right, families)[2], right)
+    return _line_graphs(a1, a2, families) is not None
 
 
 def ggp_relevant(a1: ArthurParameter, a2: ArthurParameter) -> bool:
