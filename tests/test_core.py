@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,11 @@ from spehcalc import (
     in_cuspidal_lines,
     same_cuspidal_support,
 )
-from spehcalc.dsl import format_support, format_twisted
+from spehcalc.branching import BranchingVerdict
+from spehcalc.dsl import SourceSpan, format_support, format_twisted
+from spehcalc.relevance import MatchedPair, Matching, MoveFamily
+from spehcalc.segments import JacquetResult, Segment, SegmentRep
+from spehcalc.sl2 import DiagonalRestriction
 
 RHO = CuspidalSymbol("rho")
 SIGMA = CuspidalSymbol("sigma")
@@ -264,6 +269,50 @@ VALUES = [
      {"rho": CuspidalSymbol("sigma", 2), "a": 3, "b": 1},
      "SpehDatum(rho=CuspidalSymbol(id='sigma', degree=2), a=3, b=1)"),
 ]
+
+# The record types: the reprs are those their frozen dataclasses printed.
+_R = "CuspidalSymbol(id='rho', degree=1)"
+_S = "CuspidalSymbol(id='sigma', degree=1)"
+SEG = Segment(RHO, HalfInt(-1), HalfInt(3))
+SEG_TEXT = f"Segment(rho={_R}, a=HalfInt(doubled=-1), b=HalfInt(doubled=3))"
+JACQUET = (SegmentRep("Z", Segment(RHO, HalfInt(-1), HalfInt(-1))), SegmentRep("Z", Segment(RHO, HalfInt(1), HalfInt(3))))
+PAIR = MatchedPair(SpehDatum(RHO, 1, 2), SpehDatum(RHO, 1, 1), MoveFamily.F1)
+PAIR_TEXT = (f"MatchedPair(left=SpehDatum(rho={_R}, a=1, b=2), right=SpehDatum(rho={_R}, a=1, b=1), "
+             "family=<MoveFamily.F1: 'F1'>)")
+SIGMA_PAIR = MatchedPair(SpehDatum(SIGMA, 2, 1), SpehDatum(SIGMA, 2, 2), MoveFamily.F2)
+MATCHING = Matching((SIGMA_PAIR, PAIR), (SpehDatum(RHO, 3, 1),), ())
+MATCHING_TEXT = (f"Matching(pairs=({PAIR_TEXT}, MatchedPair(left=SpehDatum(rho={_S}, a=2, b=1), "
+                 f"right=SpehDatum(rho={_S}, a=2, b=2), family=<MoveFamily.F2: 'F2'>)), "
+                 f"dropped_left=(SpehDatum(rho={_R}, a=3, b=1),), dropped_right=())")
+VALUES += [
+    (ArthurParameter((SpehDatum(SIGMA, 1, 3), SpehDatum(RHO, 2, 1))),
+     ArthurParameter((SpehDatum(RHO, 2, 1), SpehDatum(SIGMA, 1, 3))),
+     {"terms": (SpehDatum(RHO, 2, 1), SpehDatum(SIGMA, 1, 3))},
+     f"ArthurParameter(terms=(SpehDatum(rho={_R}, a=2, b=1), SpehDatum(rho={_S}, a=1, b=3)))"),
+    (twists(RHO, 2, 0, 2), twists(RHO, 0, 2, 2),
+     {"runs": ((TwistedCuspidal(RHO, HalfInt(0)), 1), (TwistedCuspidal(RHO, HalfInt(2)), 2))},
+     f"CuspidalMultiset(runs=((TwistedCuspidal(symbol={_R}, exponent=HalfInt(doubled=0)), 1), "
+     f"(TwistedCuspidal(symbol={_R}, exponent=HalfInt(doubled=2)), 2)))"),
+    (SEG, Segment(CuspidalSymbol("rho"), HalfInt(-1), HalfInt(3)), {"rho": RHO, "a": HalfInt(-1), "b": HalfInt(3)},
+     SEG_TEXT),
+    (SegmentRep("Q", SEG), SegmentRep("Q", Segment(RHO, HalfInt(-1), HalfInt(3))), {"kind": "Q", "segment": SEG},
+     f"SegmentRep(kind='Q', segment={SEG_TEXT})"),
+    (JacquetResult.of(*JACQUET), JacquetResult(JACQUET), {"factors": JACQUET},
+     f"JacquetResult(factors=(SegmentRep(kind='Z', segment=Segment(rho={_R}, a=HalfInt(doubled=-1), "
+     f"b=HalfInt(doubled=-1))), SegmentRep(kind='Z', segment=Segment(rho={_R}, a=HalfInt(doubled=1), "
+     "b=HalfInt(doubled=3)))))"),
+    (DiagonalRestriction(((SIGMA, 2), (RHO, 3), (RHO, 1))), DiagonalRestriction(((RHO, 1), (SIGMA, 2), (RHO, 3))),
+     {"entries": ((RHO, 1), (RHO, 3), (SIGMA, 2))},
+     f"DiagonalRestriction(entries=(({_R}, 1), ({_R}, 3), ({_S}, 2)))"),
+    (PAIR, MatchedPair(SpehDatum(RHO, 1, 2), SpehDatum(CuspidalSymbol("rho"), 1, 1), MoveFamily.F1),
+     {"left": SpehDatum(RHO, 1, 2), "right": SpehDatum(RHO, 1, 1), "family": MoveFamily.F1}, PAIR_TEXT),
+    (MATCHING, Matching((PAIR, SIGMA_PAIR), (SpehDatum(RHO, 3, 1),)),
+     {"pairs": (PAIR, SIGMA_PAIR), "dropped_left": (SpehDatum(RHO, 3, 1),), "dropped_right": ()}, MATCHING_TEXT),
+    (BranchingVerdict(True, MATCHING, "matcher"), BranchingVerdict(True, Matching((PAIR, SIGMA_PAIR), MATCHING.dropped_left), "matcher"),
+     {"nonvanishing": True, "certificate": MATCHING, "decider": "matcher"},
+     f"BranchingVerdict(nonvanishing=True, certificate={MATCHING_TEXT}, decider='matcher')"),
+    (SourceSpan(3, 7), SourceSpan(3, 7), {"start": 3, "end": 7}, "SourceSpan(start=3, end=7)"),
+]
 VALUE_IDS = [type(v).__name__ for v, *_ in VALUES]
 contract = pytest.mark.parametrize("value,equal,fields,text", VALUES, ids=VALUE_IDS)
 
@@ -316,6 +365,52 @@ class TestValueContract:
             CuspidalSymbol("rho", 0)
         with pytest.raises(ValueError, match="cuspidal symbol id must be non-empty"):
             CuspidalSymbol("")
+        with pytest.raises(ValueError, match=re.escape("segment needs b - a a non-negative integer, got [3/2, 1/2]")):
+            Segment(RHO, HalfInt(3), HalfInt(1))
+        with pytest.raises(ValueError, match=re.escape("segment needs b - a a non-negative integer, got [0, 1/2]")):
+            Segment(RHO, HalfInt(0), HalfInt(1))
+        with pytest.raises(ValueError, match="segment representation kind must be 'Z' or 'Q', got 'X'"):
+            SegmentRep("X", SEG)
+        with pytest.raises(ValueError, match=re.escape(
+            f"terms (SpehDatum(rho={_R}, a=1, b=2), SpehDatum(rho={_R}, a=1, b=3)) are not an F1 pair"
+        )):
+            MatchedPair(SpehDatum(RHO, 1, 2), SpehDatum(RHO, 1, 3), MoveFamily.F1)
+
+    @contract
+    def test_refusals_are_frozen_instance_errors(self, value, equal, fields, text):
+        name, field_value = next(iter(fields.items()))
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, field_value)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'not_a_field'$"):
+            value.not_a_field = 1
+
+    @contract
+    def test_keyword_construction(self, value, equal, fields, text):
+        if type(value) is CuspidalMultiset:  # built from its entries, not its runs
+            assert CuspidalMultiset(entries=tuple(value)) == value
+            assert CuspidalMultiset._of(value.runs) == value
+        else:
+            assert type(value)(**fields) == value
+            assert type(value)(*fields.values()) == value
+
+    def test_default_construction(self):
+        assert Matching() == Matching((), (), ()) == Matching(pairs=(), dropped_left=(), dropped_right=())
+        assert repr(Matching()) == "Matching(pairs=(), dropped_left=(), dropped_right=())"
+        assert Matching(dropped_right=(SpehDatum(RHO, 2, 1), SpehDatum(RHO, 1, 1))).dropped_right == (
+            SpehDatum(RHO, 1, 1), SpehDatum(RHO, 2, 1))
+        assert ArthurParameter() == ArthurParameter(terms=()) == ArthurParameter(())
+        assert repr(ArthurParameter()) == "ArthurParameter(terms=())"
+        assert ArthurParameter(terms=[SpehDatum(SIGMA, 1, 1), SpehDatum(RHO, 1, 1)]).terms == (
+            SpehDatum(RHO, 1, 1), SpehDatum(SIGMA, 1, 1))
+        assert DiagonalRestriction() == DiagonalRestriction(entries=())
+        assert repr(DiagonalRestriction()) == "DiagonalRestriction(entries=())"
+        assert CuspidalMultiset() == CuspidalMultiset(()) == CuspidalMultiset._of(())
+        assert repr(CuspidalMultiset()) == "CuspidalMultiset(runs=())"
+        assert len(CuspidalMultiset()) == 0 and list(CuspidalMultiset()) == []
+        assert JacquetResult.zero() == JacquetResult(factors=None) and JacquetResult.zero().is_zero
+        assert repr(JacquetResult.zero()) == "JacquetResult(factors=None)"
 
     @given(st.integers(-50, 50), st.integers(-50, 50))
     def test_half_int_ordering(self, x, y):
