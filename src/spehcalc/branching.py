@@ -10,10 +10,9 @@ standing property test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import ArthurParameter, SpehDatum
+from .core import ArthurParameter, SpehDatum, _Record
 from .dsl import format_term
 from .relevance import (
     GGP_FAMILIES,
@@ -33,11 +32,14 @@ class HypothesisError(ValueError):
 MATCHER = "matcher"
 
 
-@dataclass(frozen=True)
-class BranchingVerdict:
-    nonvanishing: bool
-    certificate: Optional[Matching]
-    decider: str
+class BranchingVerdict(_Record):
+    __slots__ = ("nonvanishing", "certificate", "decider")
+
+    def __init__(self, nonvanishing: bool, certificate: Optional[Matching], decider: str) -> None:
+        set_nonvanishing, set_certificate, set_decider = self._setters
+        set_nonvanishing(self, nonvanishing)
+        set_certificate(self, certificate)
+        set_decider(self, decider)
 
 
 def _require_restriction_pair(a1: ArthurParameter, a2: ArthurParameter) -> None:

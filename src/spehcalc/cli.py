@@ -299,7 +299,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, e.g. an input too large to index
-        print(f"internal error: {exc}", file=sys.stderr)
+        # some exceptions (MemoryError) carry no message: name the class instead
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -9,42 +9,84 @@ point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class _Value:
-    """Base of the immutable value types: ``__slots__`` classes that are
-    equal, hash and sort by a flat ``sort_key`` of ints and strings.
+class _Record:
+    """Base of the immutable value types: ``__slots__`` classes that
+    behave as frozen dataclasses with the same fields.
 
-    A subclass's ``__init__`` checks its arguments, writes its fields
-    through ``_setters`` (its slots' own writers, in slot order, which get
-    past the ``__setattr__`` that refuses every assignment) and calls
-    ``_freeze`` with its ``sort_key``, whose hash is computed there, once.
-    Values are equal only to values of the same class with an equal key;
-    as the key is flat, equality and hashing never call into a nested
-    value.  ``repr`` and the refusals to
-    assign or delete are those of a frozen dataclass with the same fields;
-    ``__reduce__`` rebuilds a value through its constructor, so pickle and
-    copy work.
+    A subclass lists its fields, in order, as its ``__slots__``.  Its
+    ``__init__`` checks its arguments and writes its fields through
+    ``_setters`` (its slots' own writers, in slot order, which get past
+    the ``__setattr__`` that refuses every assignment).  Equality (only
+    with values of the same class), hash, ``repr`` and the refusals to
+    assign or delete follow from the fields as a frozen dataclass's do;
+    the refusals raise ``dataclasses.FrozenInstanceError``, imported only
+    then.  ``__reduce__`` rebuilds a value through its constructor, so
+    pickle and copy work.  Unlike a dataclass, defining a subclass
+    generates no code, so importing this package never loads
+    ``dataclasses``; ``dataclasses.fields``, ``replace`` and ``asdict`` do
+    not apply to these values.
     """
 
-    __slots__ = ("sort_key", "_hash")
+    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        cls._key = attrgetter(*cls.__slots__)  # the field, or a tuple of the fields
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+class _Value(_Record):
+    """A record that is equal, hashes and sorts by a flat ``sort_key`` of
+    ints and strings: the cheap values that parsing builds by the
+    thousand.
+
+    A subclass's ``__init__`` ends by calling ``_freeze`` with its
+    ``sort_key``, whose hash is computed there, once.  As the key is flat,
+    equality and hashing never call into a nested value.
+    """
+
+    __slots__ = ("sort_key", "_hash")
 
     def _freeze(self, sort_key: tuple) -> None:
         _set_sort_key(self, sort_key)
         _set_hash(self, hash(sort_key))
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __hash__(self) -> int:
         return self._hash
@@ -54,22 +96,10 @@ class _Value:
             return NotImplemented
         return self.sort_key == other.sort_key
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._fields()
-
 
 _set_sort_key = _Value.sort_key.__set__
 _set_hash = _Value._hash.__set__
+_by_sort_key = attrgetter("sort_key")
 
 
 class HalfInt(_Value):
@@ -193,8 +223,7 @@ class TwistedCuspidal(_Value):
         return TwistedCuspidal(self.symbol, self.exponent + by)
 
 
-@dataclass(frozen=True, init=False)
-class CuspidalMultiset:
+class CuspidalMultiset(_Record):
     """A multiset of twisted cuspidals, stored as canonical runs.
 
     ``runs`` holds one (twist, multiplicity) pair per distinct twist, with
@@ -204,17 +233,22 @@ class CuspidalMultiset:
     sequence.
     """
 
-    runs: tuple[tuple[TwistedCuspidal, int], ...]
+    __slots__ = ("runs",)
 
     def __init__(self, entries: Iterable[TwistedCuspidal] = ()) -> None:
-        object.__setattr__(self, "runs", _canonical_runs((t, 1) for t in entries))
+        (set_runs,) = self._setters
+        set_runs(self, _canonical_runs((t, 1) for t in entries))
 
     @classmethod
     def _of(cls, runs: tuple[tuple[TwistedCuspidal, int], ...]) -> CuspidalMultiset:
         """Wrap runs that are already canonical."""
         multiset = object.__new__(cls)
-        object.__setattr__(multiset, "runs", runs)
+        (set_runs,) = cls._setters
+        set_runs(multiset, runs)
         return multiset
+
+    def __reduce__(self) -> tuple:
+        return self._of, (self.runs,)
 
     @property
     def entries(self) -> tuple[TwistedCuspidal, ...]:
@@ -269,8 +303,7 @@ class SpehDatum(_Value):
         return self.a == 1 or self.b == 1
 
 
-@dataclass(frozen=True)
-class ArthurParameter:
+class ArthurParameter(_Record):
     """A multiset of Speh data, kept in canonical sorted order.
 
     Models both a parameter (direct sum of terms) and the product of the
@@ -278,11 +311,11 @@ class ArthurParameter:
     data.  May be empty (the degree-0 parameter).
     """
 
-    terms: tuple[SpehDatum, ...] = ()
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        canonical = tuple(sorted(self.terms, key=lambda s: s.sort_key))
-        object.__setattr__(self, "terms", canonical)
+    def __init__(self, terms: Iterable[SpehDatum] = ()) -> None:
+        (set_terms,) = self._setters
+        set_terms(self, tuple(sorted(terms, key=_by_sort_key)))
 
     def __iter__(self) -> Iterator[SpehDatum]:
         return iter(self.terms)

@@ -33,7 +33,6 @@ comes from the plain stream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .core import (
@@ -43,6 +42,7 @@ from .core import (
     HalfInt,
     SpehDatum,
     TwistedCuspidal,
+    _Record,
 )
 from .segments import Segment, SegmentRep, speh_from_segment_rep
 
@@ -50,10 +50,13 @@ TRIVIAL_LINE = "one"
 PRODUCT_IDENT = "x"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
+class SourceSpan(_Record):
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int) -> None:
+        set_start, set_end = self._setters
+        set_start(self, start)
+        set_end(self, end)
 
 
 class ParseError(Exception):

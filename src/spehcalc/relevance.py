@@ -11,12 +11,11 @@ four gives the Ext-side one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional
+from typing import Iterable, Optional
 
-from .core import ArthurParameter, CuspidalSymbol, SpehDatum, csupp_param
+from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _Record, csupp_param
 from .sl2 import diagonal_restriction
 
 
@@ -60,25 +59,23 @@ GGP_FAMILIES = (MoveFamily.F1, MoveFamily.F2)
 STRONG_FAMILIES = (MoveFamily.F1, MoveFamily.F2, MoveFamily.F3, MoveFamily.F4)
 
 
-@dataclass(frozen=True)
-class MatchedPair:
-    left: SpehDatum
-    right: SpehDatum
-    family: MoveFamily
+class MatchedPair(_Record):
+    __slots__ = ("left", "right", "family")
 
-    def __post_init__(self) -> None:
-        if not self.family.compatible(self.left, self.right):
-            raise ValueError(
-                f"terms ({self.left}, {self.right}) are not an {self.family.value} pair"
-            )
+    def __init__(self, left: SpehDatum, right: SpehDatum, family: MoveFamily) -> None:
+        if not family.compatible(left, right):
+            raise ValueError(f"terms ({left}, {right}) are not an {family.value} pair")
+        set_left, set_right, set_family = self._setters
+        set_left(self, left)
+        set_right(self, right)
+        set_family(self, family)
 
     @property
     def sort_key(self):
         return (self.left.sort_key, self.family.value, self.right.sort_key)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Record):
     """A certificate decomposing a parameter pair: matched pairs plus the
     dropped terms on each side (all of Arthur dimension 1).
 
@@ -86,18 +83,18 @@ class Matching:
     two matchings built from the same pairs in different orders are equal.
     """
 
-    pairs: tuple[MatchedPair, ...] = ()
-    dropped_left: tuple[SpehDatum, ...] = ()
-    dropped_right: tuple[SpehDatum, ...] = ()
+    __slots__ = ("pairs", "dropped_left", "dropped_right")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs, key=lambda p: p.sort_key)))
-        object.__setattr__(
-            self, "dropped_left", tuple(sorted(self.dropped_left, key=lambda s: s.sort_key))
-        )
-        object.__setattr__(
-            self, "dropped_right", tuple(sorted(self.dropped_right, key=lambda s: s.sort_key))
-        )
+    def __init__(
+        self,
+        pairs: Iterable[MatchedPair] = (),
+        dropped_left: Iterable[SpehDatum] = (),
+        dropped_right: Iterable[SpehDatum] = (),
+    ) -> None:
+        set_pairs, set_left, set_right = self._setters
+        set_pairs(self, tuple(sorted(pairs, key=_by_sort_key)))
+        set_left(self, tuple(sorted(dropped_left, key=_by_sort_key)))
+        set_right(self, tuple(sorted(dropped_right, key=_by_sort_key)))
 
     @property
     def sort_key(self):

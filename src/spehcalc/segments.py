@@ -3,7 +3,6 @@ closed Jacquet-module formulas for segment representations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
@@ -13,6 +12,7 @@ from .core import (
     HalfInt,
     SpehDatum,
     TwistedCuspidal,
+    _Record,
     half_range,
 )
 
@@ -22,19 +22,20 @@ STANDARD = "standard"
 OPPOSITE = "opposite"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Record):
     """The segment [a, b]_rho = {nu^a rho, ..., nu^b rho}; requires
     b - a to be a non-negative integer."""
 
-    rho: CuspidalSymbol
-    a: HalfInt
-    b: HalfInt
+    __slots__ = ("rho", "a", "b")
 
-    def __post_init__(self) -> None:
-        diff = self.b - self.a
+    def __init__(self, rho: CuspidalSymbol, a: HalfInt, b: HalfInt) -> None:
+        diff = b - a
         if not diff.is_integer or diff.doubled < 0:
-            raise ValueError(f"segment needs b - a a non-negative integer, got [{self.a}, {self.b}]")
+            raise ValueError(f"segment needs b - a a non-negative integer, got [{a}, {b}]")
+        set_rho, set_a, set_b = self._setters
+        set_rho(self, rho)
+        set_a(self, a)
+        set_b(self, b)
 
     @property
     def length(self) -> int:
@@ -73,17 +74,18 @@ def precedes(d1: Segment, d2: Segment) -> bool:
     return linked(d1, d2) and (d2.b - d1.b).doubled > 0
 
 
-@dataclass(frozen=True)
-class SegmentRep:
+class SegmentRep(_Record):
     """Z(segment) or Q(segment): the irreducible submodule or quotient of
     the principal series attached to a segment."""
 
-    kind: str
-    segment: Segment
+    __slots__ = ("kind", "segment")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (Z, Q):
-            raise ValueError(f"segment representation kind must be 'Z' or 'Q', got {self.kind!r}")
+    def __init__(self, kind: str, segment: Segment) -> None:
+        if kind not in (Z, Q):
+            raise ValueError(f"segment representation kind must be 'Z' or 'Q', got {kind!r}")
+        set_kind, set_segment = self._setters
+        set_kind(self, kind)
+        set_segment(self, segment)
 
     @property
     def degree(self) -> int:
@@ -94,12 +96,15 @@ class SegmentRep:
         return self.segment.is_centered
 
 
-@dataclass(frozen=True)
-class JacquetResult:
+class JacquetResult(_Record):
     """Either zero, or a pair (omega1, omega2) of segment representations
     whose degrees sum to the (n - l, l) split of the input."""
 
-    factors: Optional[tuple[SegmentRep, SegmentRep]]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Optional[tuple[SegmentRep, SegmentRep]]) -> None:
+        (set_factors,) = self._setters
+        set_factors(self, factors)
 
     @staticmethod
     def zero() -> JacquetResult:

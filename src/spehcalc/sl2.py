@@ -7,10 +7,9 @@ integers only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .core import ArthurParameter, CuspidalSymbol
+from .core import ArthurParameter, CuspidalSymbol, _Record
 
 
 def clebsch_gordan(a: int, b: int) -> tuple[int, ...]:
@@ -35,16 +34,15 @@ def tensor_pair_recovery(a: int, b: int, c: int, d: int) -> bool:
     return sorted(clebsch_gordan(a, b)) == sorted(clebsch_gordan(c, d))
 
 
-@dataclass(frozen=True)
-class DiagonalRestriction:
+class DiagonalRestriction(_Record):
     """Restriction of a parameter to the diagonally embedded SL2: a
     canonical multiset of (cuspidal symbol, irreducible dimension) pairs."""
 
-    entries: tuple[tuple[CuspidalSymbol, int], ...] = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        canonical = tuple(sorted(self.entries, key=lambda e: (e[0].sort_key, e[1])))
-        object.__setattr__(self, "entries", canonical)
+    def __init__(self, entries: Iterable[tuple[CuspidalSymbol, int]] = ()) -> None:
+        (set_entries,) = self._setters
+        set_entries(self, tuple(sorted(entries, key=lambda e: (e[0].sort_key, e[1]))))
 
     def __iter__(self) -> Iterator[tuple[CuspidalSymbol, int]]:
         return iter(self.entries)

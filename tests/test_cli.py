@@ -268,6 +268,14 @@ class TestErrorChannels:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_internal_error_without_message_names_its_class(self, capsys, monkeypatch):
+        # csupp of u(rho;1,99999999999) fails this way, by running out of memory
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr("spehcalc.cli._cmd_csupp", out_of_memory)
+        assert run(capsys, ["csupp", "rho"]) == (4, "", "internal error: MemoryError\n")
+
     def test_quiet_errors_still_reported(self, capsys):
         code, _, err = run(capsys, ["ext", "--quiet", "u(rho;2,3)", "u(rho;3,1)+rho+rho"])
         assert code == 3
@@ -276,10 +284,21 @@ class TestErrorChannels:
 
 def test_import_leaves_json_and_fractions_unloaded():
     """``import spehcalc.cli`` loads neither json nor fractions (nor the
-    decimal module that fractions pulls in); they load where used."""
+    decimal module that fractions pulls in); they load where used.  Nor
+    does it load dataclasses or the inspect module that dataclasses pulls
+    in: the value types are plain ``__slots__`` classes.  It does load all
+    seven spehcalc modules, each eagerly (the benchmark's import breakdown
+    reads one ``-X importtime`` line for each)."""
     src = str(Path(spehcalc.__file__).resolve().parents[1])
-    probe = "import sys, spehcalc.cli; print(sorted({'json', 'fractions', 'decimal'} & set(sys.modules)))"
+    probe = (
+        "import sys, spehcalc.cli; "
+        "print(sorted({'json', 'fractions', 'decimal', 'dataclasses', 'inspect'} & set(sys.modules))); "
+        "print(sorted(m for m in sys.modules if m.startswith('spehcalc.')))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     # -S: no site hooks, which may import modules of their own
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    unloaded, loaded = proc.stdout.splitlines()
+    assert unloaded == "[]"
+    modules = ("branching", "cli", "core", "dsl", "relevance", "segments", "sl2")
+    assert loaded == str([f"spehcalc.{m}" for m in modules])

@@ -395,6 +395,10 @@ class TestValueContract:
             assert type(value)(**fields) == value
             assert type(value)(*fields.values()) == value
 
+    @contract
+    def test_match_args_are_the_fields(self, value, equal, fields, text):
+        assert type(value).__match_args__ == tuple(fields)
+
     def test_default_construction(self):
         assert Matching() == Matching((), (), ()) == Matching(pairs=(), dropped_left=(), dropped_right=())
         assert repr(Matching()) == "Matching(pairs=(), dropped_left=(), dropped_right=())"
