@@ -131,6 +131,52 @@ def random_related_pair(rng: random.Random, families=STRONG_FAMILIES,
     return ArthurParameter(tuple(terms1)), ArthurParameter(tuple(terms2))
 
 
+def _step(rng: random.Random, n: int) -> int:
+    """n moved one step up or down, staying at least 1."""
+    return n + 1 if n == 1 or rng.random() < 0.5 else n - 1
+
+
+def near_miss_pair(rng: random.Random, families=STRONG_FAMILIES, max_terms: int = 4,
+                   max_dim: int = 5, symbols=SYMBOLS):
+    """A ``random_related_pair`` broken in one place: one term of either
+    side moved one Arthur or one Deligne step, or one right term (a left
+    term's partner or a droppable term) deleted.  Most of these pairs
+    have no matching, and unlike those of ``random_pair`` many need more
+    than one term type to show it."""
+    a1, a2 = random_related_pair(rng, families, max_terms, max_dim, symbols)
+    sides = [list(a1.terms), list(a2.terms)]
+    roll = rng.randrange(3)
+    side = sides[1] if roll == 0 or not sides[0] else rng.choice([s for s in sides if s])
+    if side:
+        i = rng.randrange(len(side))
+        s = side.pop(i)
+        if roll == 1:
+            side.insert(i, SpehDatum(s.rho, s.a, _step(rng, s.b)))
+        elif roll == 2:
+            side.insert(i, SpehDatum(s.rho, _step(rng, s.a), s.b))
+    return ArthurParameter(tuple(sides[0])), ArthurParameter(tuple(sides[1]))
+
+
+def near_miss_segment_type_pair(rng: random.Random, pairs: int, symbols=SYMBOLS,
+                                max_len: int = 6):
+    """A ``random_segment_type_related_pair`` broken in one place: one
+    right term moved one step along its segment (u(1, d) to u(1, d +- 1),
+    u(c, 1) to u(c +- 1, 1)) or deleted, with droppable terms u(1, 1) on
+    a degree-1 line added to keep the dimensions n and n - 1."""
+    a1, a2 = random_segment_type_related_pair(rng, pairs, symbols, max_len)
+    terms1, terms2 = list(a1.terms), list(a2.terms)
+    if not terms2:
+        return a1, a2
+    s = terms2.pop(rng.randrange(len(terms2)))
+    if rng.random() < 0.75:
+        moved = SpehDatum(s.rho, 1, _step(rng, s.b)) if s.a == 1 else SpehDatum(s.rho, _step(rng, s.a), 1)
+        terms2.append(moved)
+    change = sum(t.degree for t in terms2) - sum(t.degree for t in a2.terms)
+    unit = SpehDatum(next(r for r in symbols if r.degree == 1), 1, 1)
+    (terms1 if change > 0 else terms2).extend([unit] * abs(change))
+    return ArthurParameter(tuple(terms1)), ArthurParameter(tuple(terms2))
+
+
 def random_pair(rng: random.Random, related_probability: float = 0.5,
                 families=STRONG_FAMILIES):
     """Either an independent pair or a matchable-by-construction one."""

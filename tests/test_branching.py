@@ -28,6 +28,7 @@ from spehcalc import (
 from _gen import (
     LARGE_FALSE_DRAWS,
     SYMBOLS,
+    near_miss_segment_type_pair,
     random_generic_pair,
     random_pair,
     random_segment_type_param,
@@ -186,6 +187,21 @@ def test_large_pairs_agree_with_matcher(size, lines, max_len, related, seed):
     assert ext_branch_recursive(a1, a2) == verdict.nonvanishing
     if related:
         assert verdict.nonvanishing
+    if verdict.certificate is not None:
+        verdict.certificate.validate(a1, a2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(50, 1000), st.integers(1, 3), st.integers(2, 24), st.integers(0, 2**32))
+def test_near_misses_agree_with_matcher(pairs, lines, max_len, seed):
+    """Both Ext deciders agree on segment-type pairs of about 100 to 2000
+    terms in all, matchable by construction and then broken in one place
+    (``near_miss_segment_type_pair``).  Only the smaller ones tend to be
+    false: drawn like this, 20 % of the pairs built from 50 strong pairs
+    had no matching, 7.5 % at 100, none of 60 at 200 or 1000."""
+    a1, a2 = near_miss_segment_type_pair(random.Random(seed), pairs, SYMBOLS[:lines], max_len)
+    verdict = ext_branch_segment_type(a1, a2)
+    assert ext_branch_recursive(a1, a2) == verdict.nonvanishing
     if verdict.certificate is not None:
         verdict.certificate.validate(a1, a2)
 

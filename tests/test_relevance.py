@@ -27,7 +27,7 @@ from spehcalc import (
     strong_ext_relevant,
 )
 from spehcalc.relevance import GGP_FAMILIES, STRONG_FAMILIES, enumerate_matchings, find_matching
-from _gen import SYMBOLS, random_pair, random_param, random_related_pair
+from _gen import SYMBOLS, near_miss_pair, random_pair, random_param, random_related_pair
 from _oracles import oracle_matchings
 
 ONE = CuspidalSymbol("one")
@@ -175,6 +175,20 @@ class TestCopiesFamily:
         assert len(enumerate_ggp_matchings(a1, a2)) == 1
 
 
+class TestJson:
+    def test_terms_in_several_pairs(self):
+        """Every term of this pair occurs in two pairs or drops of each
+        matching: the JSON reads back to the same matching, and its text
+        is the one captured before a term's dict was built only once."""
+        a1, a2 = copies_family({RHO: 2})
+        matchings = enumerate_strong_matchings(a1, a2)
+        for m in matchings:
+            assert Matching.from_json_dict(m.to_json_dict()) == m
+        golden = Path(__file__).parent / "golden" / "copies_2_strong_json.out"
+        text = json.dumps([m.to_json_dict() for m in matchings]) + "\n"
+        assert text == golden.read_text(encoding="utf-8")
+
+
 class TestLargeInputs:
     def test_distinct_droppable_terms(self):
         # 1500 distinct left types: the search depth grows with them
@@ -278,6 +292,22 @@ def test_lines_are_independent(size, lines, built, broken, seed):
             assert part.pairs == tuple(p for p in whole.pairs if p.left.rho == rho)
             assert part.dropped_left == tuple(s for s in whole.dropped_left if s.rho == rho)
             assert part.dropped_right == tuple(s for s in whole.dropped_right if s.rho == rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(sorted(FAMILY_SETS)), st.integers(1, 2))
+def test_near_misses_against_brute_force(seed, built, lines):
+    """Small pairs matchable by construction and then broken in one place
+    (``near_miss_pair``), on one or two lines; about two thirds of them
+    have no strong matching.  Both verdicts, the first matching and the
+    enumeration agree with the brute-force oracle."""
+    a1, a2 = near_miss_pair(random.Random(seed), FAMILY_SETS[built], symbols=SYMBOLS[:lines])
+    for families, relevant in ((GGP_FAMILIES, ggp_relevant), (STRONG_FAMILIES, strong_ext_relevant)):
+        expected = oracle_matchings(a1, a2, families)
+        assert relevant(a1, a2) == bool(expected)
+        assert set(enumerate_matchings(a1, a2, families)) == expected
+        first = find_matching(a1, a2, families)
+        assert first in expected if expected else first is None
 
 
 class TestProperties:
