@@ -37,21 +37,21 @@ class MoveFamily(Enum):
     def partner(self, left: SpehDatum) -> Optional[SpehDatum]:
         """The unique right-side term this family pairs with ``left``, or
         None when the family degenerates (step down from Arthur dim 1)."""
-        a, b = _PARTNER_KEYS[self](left.a, left.b)
+        a, b = _PARTNER_KEYS[self._value_](left.a, left.b)
         return SpehDatum(left.rho, a, b) if a and b else None
 
     def compatible(self, left: SpehDatum, right: SpehDatum) -> bool:
         return self.partner(left) == right
 
 
-# The (a, b) of the right term each family pairs with a left u_rho(a, b);
-# a step down from Arthur dimension 1 gives a key with a zero, which no
-# term has.
+# The (a, b) of the right term each family (keyed by its value) pairs
+# with a left u_rho(a, b); a step down from Arthur dimension 1 gives a
+# key with a zero, which no term has.
 _PARTNER_KEYS = {
-    MoveFamily.F1: lambda a, b: (a, b - 1),
-    MoveFamily.F2: lambda a, b: (a, b + 1),
-    MoveFamily.F3: lambda a, b: (b - 1, a),
-    MoveFamily.F4: lambda a, b: (b, a + 1),
+    "F1": lambda a, b: (a, b - 1),
+    "F2": lambda a, b: (a, b + 1),
+    "F3": lambda a, b: (b - 1, a),
+    "F4": lambda a, b: (b, a + 1),
 }
 
 
@@ -63,7 +63,8 @@ class MatchedPair(_Record):
     __slots__ = ("left", "right", "family")
 
     def __init__(self, left: SpehDatum, right: SpehDatum, family: MoveFamily) -> None:
-        if not family.compatible(left, right):
+        a, b = _PARTNER_KEYS[family._value_](left.a, left.b)
+        if right.a != a or right.b != b or right.rho.sort_key != left.rho.sort_key:
             raise ValueError(f"terms ({left}, {right}) are not an {family.value} pair")
         set_left, set_right, set_family = self._setters
         set_left(self, left)
@@ -72,7 +73,7 @@ class MatchedPair(_Record):
 
     @property
     def sort_key(self):
-        return (self.left.sort_key, self.family.value, self.right.sort_key)
+        return (self.left.sort_key, self.family._value_, self.right.sort_key)
 
 
 class Matching(_Record):
@@ -120,17 +121,18 @@ class Matching(_Record):
                 raise ValueError(f"dropped term has Arthur dimension {s.b} > 1")
 
     def to_json_dict(self) -> dict:
+        """The matching as JSON data; each distinct term's dict is built
+        once and shared by its occurrences."""
+        terms = {*self.dropped_left, *self.dropped_right}
+        terms.update(s for p in self.pairs for s in (p.left, p.right))
+        term = {s: term_to_json(s) for s in terms}
         return {
             "pairs": [
-                {
-                    "left": term_to_json(p.left),
-                    "right": term_to_json(p.right),
-                    "family": p.family.value,
-                }
+                {"left": term[p.left], "right": term[p.right], "family": p.family._value_}
                 for p in self.pairs
             ],
-            "dropped_left": [term_to_json(s) for s in self.dropped_left],
-            "dropped_right": [term_to_json(s) for s in self.dropped_right],
+            "dropped_left": [term[s] for s in self.dropped_left],
+            "dropped_right": [term[s] for s in self.dropped_right],
         }
 
     @staticmethod
@@ -158,210 +160,203 @@ def term_from_json(data: dict) -> SpehDatum:
     )
 
 
-# Search internals.  On term types with multiplicities a matching is a
-# capacitated bipartite matching that covers every term of Arthur
-# dimension > 1; left type t has one edge per family, to f.partner(t), so
-# at most four.  Every family keeps rho, so a pair is one independent
-# matching problem per cuspidal line, and ``_line_graphs`` builds one type
-# graph per line: the line's right types are indexed 0..R-1 with their
-# counts in a list, and each left type finds its partners by the plain
-# (a, b) keys of ``_PARTNER_KEYS``, so the search below hashes, compares
-# and builds no ``SpehDatum``.  By the Mendelsohn-Dulmage theorem a line
-# has a matching exactly when one matching covers its required left terms
-# and another covers its required right terms, so ``_feasible`` is two
-# augmenting-path max flows on the line's graph.  Every line is checked
-# before any line is searched, so a pair with one bad line costs at most
-# one oracle call per line.
+# Search internals.  A matching covers every term of Arthur dimension > 1
+# by a capacitated bipartite matching of term types.  Families keep rho,
+# so each cuspidal line is a problem of its own, a ``_Line`` network, its
+# partners found by the (a, b) keys of ``_PARTNER_KEYS``.  Its matchings
+# are its saturating integer flows (Hoffman 1960): every copy of a left
+# type leaves by one option edge, a drop (b == 1) or a family's partner;
+# required right types (b > 1) pass their copies to the sink, optional
+# ones and drops theirs to a slack node whose edge to the sink carries
+# the line's left copies minus its required right copies, so a flow that
+# saturates every left type saturates every required right type.  One
+# such flow per line, found before any line is searched, is the verdict.
 #
-# ``_line_matchings`` walks a line's left types in ``_order`` (static:
-# only the type being assigned ever leaves the left side) and decides how
-# many copies of each take each option: a drop (when b == 1), then each
-# family whose partner is present.  Counts are tried from the largest
-# down and a branch is entered only when the oracle accepts the rest, with
-# the unassigned copies of the type restricted to its later options.
-# Every branch entered therefore ends in a matching and no two leaves are
-# equal, so finding a line's first matching costs O(terms) oracle calls
-# and enumeration is polynomial per matching.  Identical copies are
-# interchangeable, so the first leaf, the lexicographically largest count
-# vector, is the matching a copy-by-copy search in the same order finds
-# first.  The lines are independent, so the lexicographically largest
-# count vector of the whole pair, however its lines' levels interleave,
-# is the product of the lines' first leaves: certificates do not depend
-# on the split.  The counts feasible at one option form an interval
-# (covering matchings are the integer points of a totally unimodular
-# system), so the scan stops at the first rejection after an acceptance.
+# The search fixes the count on each option edge in turn (left types in
+# ``_order``; a drop, then F1-F4), leaving only later edges free.  The
+# feasible counts on an edge form an interval (flows are the integer
+# points of a totally unimodular system), read off the residual graph:
+# the largest by cycles through the edge (``_raise``), the smaller ones
+# by cycles through it reversed (``_lower``).  Counts taken largest first
+# make the first leaf the lexicographically largest count vector, the
+# matching a copy-by-copy search in the same order finds first (identical
+# copies are interchangeable), and the pair's first matching the union
+# of its lines'.  No residual arc leaves the nodes a failed search
+# reaches, so no later cycle crosses them: ``part`` keeps such classes
+# and a search stays within one.  ``find_matching`` raises every edge in
+# place; enumeration saves the flow at each edge to step it down later.
+# The start of a line's flow routes each type straight to partners with
+# room, one step up (F2, F4) before one step down, as fewer types later
+# in ``_order`` can fill them, and a drop last; then along paths.
+_GREEDY = {"F2": 0, "F4": 1, "F1": 2, "F3": 3, None: 4}
+
 
 def _order(s: SpehDatum):
     return (-(s.a + s.b), -s.a, s.sort_key)
 
 
-def _saturates(demands: list, capacity: list) -> bool:
-    """Whether every demand ``(need, neighbours)`` can draw ``need`` units
-    from its neighbours when neighbour ``v`` supplies at most
-    ``capacity[v]``: max flow by augmenting paths, searched breadth first."""
-    free = list(capacity)
-    flow: dict = {}  # (demand, neighbour) -> units drawn
-    users: dict = {}  # neighbour -> demands drawing from it
-    for i, (need, _) in enumerate(demands):
-        while need:
-            reached = {}  # neighbour -> the demand that reached it
-            via = {i: None}  # demand -> the neighbour it would release
-            queue, end = [i], None
-            for j in queue:
-                for v in demands[j][1]:
-                    if v in reached:
-                        continue
-                    reached[v] = j
-                    if free[v]:
-                        end = v
-                        break
-                    for k in users.get(v, ()):
-                        if k not in via:
-                            via[k] = v
-                            queue.append(k)
-                if end is not None:
-                    break
-            if end is None:
-                return False
-            step = min(need, free[end])
-            j = reached[end]
-            while via[j] is not None:
-                step = min(step, flow[j, via[j]])
-                j = reached[via[j]]
-            free[end] -= step
-            need -= step
-            v = end
-            while v is not None:
-                j = reached[v]
-                flow[j, v] = flow.get((j, v), 0) + step
-                users.setdefault(v, set()).add(j)
-                v = via[j]
+class _Line:
+    """One line's network: nodes the left types in ``_order``, the right
+    types, the slack node and the sink; edges e the option edges in search
+    order (``families[e]`` None for a drop), each right type's, the slack
+    node's.  Edge e has arcs 2e and 2e + 1 (back), with a ``head`` and a
+    residual capacity ``res``; ``arcs`` lists each node's arcs out."""
+
+    __slots__ = ("lefts", "rights", "first", "families", "greedy", "head", "arcs", "res", "part")
+
+    def __init__(self, lefts: list, rights: list, left: Counter, right: Counter, keys: list) -> None:
+        self.lefts, self.rights, self.first, self.families, self.greedy = lefts, rights, [], [], []
+        slack = len(lefts) + len(rights)
+        index = {(r.a, r.b): v for v, r in enumerate(rights, len(lefts))}
+        head, res, total = [], [], 0
+        for k, t in enumerate(lefts):
+            self.first.append(len(self.families))
+            n = left[t]
+            total += n
+            options = [(None, slack)] if t.b == 1 else []
+            for f, v in options + [(f, index.get(key(t.a, t.b))) for f, key in keys]:
                 if v is not None:
-                    flow[j, v] -= step
-                    if not flow[j, v]:
-                        users[v].discard(j)
-    return True
+                    self.families.append(f)
+                    self.greedy.append(_GREEDY[f and f._value_])
+                    head += (v, k)
+                    res += (n, 0)
+        self.first.append(len(self.families))
+        for v, r in enumerate(rights, len(lefts)):
+            head += (slack + (r.b > 1), v)
+            res += (right[r], 0)
+            total -= right[r] if r.b > 1 else 0
+        self.head, self.res = head + [slack + 1, slack], res + [total, 0]
+        self.arcs, self.part = None, [None] * (slack + 2)
 
 
-def _feasible(vertices: list, counts: list, required: list) -> bool:
-    """Whether the left vertices ``(copies, required, partners)`` and the
-    right types with ``counts`` have a matching covering every required
-    term; ``required`` lists the right types of Arthur dimension > 1."""
-    if not _saturates([(n, ps) for n, req, ps in vertices if req and n], counts):
-        return False
-    reverse: dict = {r: [] for r in required if counts[r]}
-    for i, (_, _, ps) in enumerate(vertices):
-        for p in ps:
-            if p in reverse:
-                reverse[p].append(i)
-    return _saturates(
-        [(counts[r], users) for r, users in reverse.items()], [n for n, _, _ in vertices]
-    )
+def _residual_path(line: _Line, res: list, part: list, source: int, target: int, free: int):
+    """A path from ``source`` to ``target`` over the arcs from ``free``
+    on with room in ``res`` and the nodes of ``source``'s class: a dict
+    from each node reached to the arc that reached it, or None, in which
+    case the nodes reached become a class of their own."""
+    head, arcs = line.head, line.arcs
+    if arcs is None:  # built on the first search: most verdicts need none
+        line.arcs = arcs = [[] for _ in part]
+        for a in range(len(head)):
+            arcs[head[a ^ 1]].append(a)
+    cls = part[source]
+    if part[target] is not cls:
+        return None
+    reached = {source: None}
+    stack = [source]
+    while stack:
+        for a in arcs[stack.pop()]:
+            w = head[a]
+            if a >= free and res[a] and w not in reached and part[w] is cls:
+                reached[w] = a
+                if w == target:
+                    return reached
+                stack.append(w)
+    cls = object()
+    for v in reached:
+        part[v] = cls
+    return None
+
+
+def _push(line: _Line, res: list, reached: dict, end: int, most: int, close: tuple = ()) -> int:
+    """Send up to ``most`` units along the path to ``end`` in ``reached``
+    and then the arcs ``close``; return the number sent."""
+    path, w = list(close), end
+    while reached[w] is not None:
+        path.append(reached[w])
+        most = min(most, res[path[-1]])
+        w = line.head[path[-1] ^ 1]
+    for a in path:
+        res[a] -= most
+        res[a ^ 1] += most
+    return most
+
+
+def _raise(line: _Line, res: list, part: list, e: int) -> None:
+    """Move onto option edge ``e`` as many of its type's copies on later
+    edges as the line allows, by cycles from e's head to its type."""
+    k, q = line.head[2 * e + 1], line.head[2 * e]
+    rest = sum(res[2 * e + 3:2 * line.first[k + 1]:2])
+    while rest and (reached := _residual_path(line, res, part, q, k, 2 * e + 2)):
+        rest -= _push(line, res, reached, k, rest, (2 * e,))
+
+
+def _lower(line: _Line, res: list, part: list, e: int) -> bool:
+    """Move one copy of option edge ``e``'s type onto a later edge, if the
+    line allows, by a cycle from the type to e's head."""
+    k, q = line.head[2 * e + 1], line.head[2 * e]
+    reached = res[2 * e + 1] and _residual_path(line, res, part, k, q, 2 * e + 2)
+    if reached:
+        _push(line, res, reached, q, 1, (2 * e + 1,))
+    return bool(reached)
 
 
 def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]):
-    """The type graph of each cuspidal line of the pair, or None as soon
-    as one line has no matching.  A graph holds the line's left types in
-    search order, the options of each (``(None, None)`` for a drop, else
-    ``(family, i)`` with right type ``i`` the partner), the oracle vertex
-    of each, the line's right types, their counts and the indices of the
-    required ones."""
+    """Each cuspidal line's ``_Line`` with a saturating flow, or None."""
     left, right = Counter(a1.terms), Counter(a2.terms)
     lines: dict = {}
-    for t in left:
-        lines.setdefault(t.rho, ([], []))[0].append(t)
-    for t in right:
-        lines.setdefault(t.rho, ([], []))[1].append(t)
-    keys = [(f, _PARTNER_KEYS[f]) for f in families]
+    for side, terms in enumerate((left, right)):
+        for t in terms:
+            lines.setdefault(t.rho, ([], []))[side].append(t)
+    keys = [(f, _PARTNER_KEYS[f._value_]) for f in families]
     graphs = []
     for lefts, rights in lines.values():
-        index = {(r.a, r.b): i for i, r in enumerate(rights)}
-        order = sorted(lefts, key=_order)
-        options = []
-        for t in order:
-            partners = ((f, index.get(key(t.a, t.b))) for f, key in keys)
-            options.append(
-                ([(None, None)] if t.b == 1 else []) + [(f, i) for f, i in partners if i is not None]
-            )
-        vertices = [
-            (left[t], t.b > 1, {i for f, i in opts if f is not None})
-            for t, opts in zip(order, options)
-        ]
-        counts = [right[r] for r in rights]
-        required = [i for i, r in enumerate(rights) if r.b > 1]
-        if not _feasible(vertices, counts, required):
+        line = _Line(sorted(lefts, key=_order), rights, left, right, keys)
+        head, res, sink = line.head, line.res, len(line.part) - 1
+        if res[-2] < 0:
             return None
-        graphs.append((order, options, vertices, rights, counts, required))
+        for k, t in enumerate(line.lefts):
+            need = left[t]
+            for e in sorted(range(line.first[k], line.first[k + 1]), key=line.greedy.__getitem__):
+                s = 2 * (len(line.families) + head[2 * e] - len(line.lefts))  # the partner's arc on
+                sent = min(need, res[s], res[-2] if head[s] < sink else need)
+                for a in (2 * e, s, len(res) - 2) if head[s] < sink else (2 * e, s):
+                    res[a] -= sent
+                    res[a ^ 1] += sent
+                need -= sent
+            while need:
+                reached = _residual_path(line, res, line.part, k, sink, 0)
+                if reached is None:
+                    return None
+                need -= _push(line, res, reached, sink, need)
+        graphs.append(line)
     return graphs
 
 
-def _line_matchings(graph):
-    """Every matching of one feasible line as ``(pairs, dropped left,
-    dropped right)`` lists, each once, the first being the one a
-    copy-by-copy search in ``_order`` finds first."""
-    order, options, vertices, rights, counts, required = graph
-    # One level per (type, option); ``later`` holds the partners of the
-    # type's options after this one.
-    levels = [
-        (k, family, partner, {q for _, q in opts[j + 1:]})
-        for k, opts in enumerate(options)
-        for j, (family, partner) in enumerate(opts)
-    ]
+def _leaf(line: _Line, res: list):
+    """A line's matching as ``(pairs, dropped left, dropped right)``."""
+    pairs, drops, dropped_right = [], [], []
+    for e, f in enumerate(line.families):
+        t, n = line.lefts[line.head[2 * e + 1]], res[2 * e + 1]
+        if f is None:
+            drops += [t] * n
+        elif n:
+            pairs += [MatchedPair(t, line.rights[line.head[2 * e] - len(line.lefts)], f)] * n
+    for e, r in enumerate(line.rights, len(line.families)):
+        dropped_right += [r] * res[2 * e]
+    return pairs, drops, dropped_right
 
-    def step_counts(level, rem):
-        """The feasible numbers of the ``rem`` unassigned copies that take
-        this level's option, largest first, each yielded with the number
-        still unassigned and applied to ``counts`` while it is yielded."""
-        k, _, partner, later = level
-        top = rem if partner is None else min(rem, counts[partner])
-        accepted = False
-        for c in range(top, -1 if later else rem - 1, -1):
-            if partner is not None:
-                counts[partner] -= c
-            # With no copies left, or at the last option (which takes
-            # them all), the state is the one the previous level accepted.
-            ok = not later or not rem or _feasible(
-                [(rem - c, True, later)] + vertices[k + 1:], counts, required
-            )
-            if ok:
-                yield c, rem - c
-            if partner is not None:
-                counts[partner] += c
-            if ok:
-                accepted = True
-            elif accepted:
-                return
 
-    def leaf(chosen):
-        pairs, drops, dropped_right = [], [], []
-        for (k, family, partner, _), n in zip(levels, chosen):
-            if family is None:
-                drops += [order[k]] * n
-            elif n:
-                pairs += [MatchedPair(order[k], rights[partner], family)] * n
-        for r, n in zip(rights, counts):
-            dropped_right += [r] * n
-        return pairs, drops, dropped_right
-
-    if not levels:
-        yield leaf(())
-        return
-    stack, chosen = [step_counts(levels[0], vertices[0][0])], []
-    while stack:
-        depth = len(stack) - 1
-        step = next(stack[-1], None)
-        del chosen[depth:]
-        if step is None:
-            stack.pop()
-            continue
-        c, rest = step
-        chosen.append(c)
-        if depth + 1 < len(levels):
-            k = levels[depth + 1][0]
-            rem = rest if k == levels[depth][0] else vertices[k][0]
-            stack.append(step_counts(levels[depth + 1], rem))
-            continue
-        yield leaf(chosen)
+def _line_matchings(line: _Line):
+    """Every matching of one line, each once, ``find_matching``'s first."""
+    res, part = line.res, line.part
+    # (edge, res, part) at each option edge above the leaf, the part as it
+    # was before the edge was raised: the one that holds to step it down.
+    saved, e = [], 0
+    while True:
+        for e in range(e, len(line.families)):
+            before = part[:]
+            _raise(line, res, part, e)
+            saved.append((e, res[:], before))
+        yield _leaf(line, res)
+        while saved:
+            e, res, part = saved.pop()
+            if _lower(line, res, part, e):
+                break
+        else:
+            return
+        saved.append((e, res[:], part[:]))
+        e += 1
 
 
 def _merge(leaves) -> Matching:
@@ -381,7 +376,10 @@ def find_matching(
     graphs = _line_graphs(a1, a2, families)
     if graphs is None:
         return None
-    return _merge(next(_line_matchings(g)) for g in graphs)
+    for g in graphs:
+        for e in range(len(g.families)):
+            _raise(g, g.res, g.part, e)
+    return _merge(_leaf(g, g.res) for g in graphs)
 
 
 def enumerate_matchings(

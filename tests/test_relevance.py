@@ -26,6 +26,7 @@ from spehcalc import (
     same_cuspidal_support,
     strong_ext_relevant,
 )
+from spehcalc import relevance
 from spehcalc.relevance import GGP_FAMILIES, STRONG_FAMILIES, enumerate_matchings, find_matching
 from _gen import SYMBOLS, near_miss_pair, random_pair, random_param, random_related_pair
 from _oracles import oracle_matchings
@@ -308,6 +309,23 @@ def test_near_misses_against_brute_force(seed, built, lines):
         assert set(enumerate_matchings(a1, a2, families)) == expected
         first = find_matching(a1, a2, families)
         assert first in expected if expected else first is None
+
+
+def test_certificate_searches_are_linear_in_types(monkeypatch):
+    """The first certificate of a dense one-line pair (1276 terms of 501
+    types a side, Arthur and Deligne dimensions up to 24) costs a number
+    of residual path searches linear in the line's option edges and left
+    types (952 against a bound of 2270), not a flow per count tried."""
+    a1, a2 = random_related_pair(random.Random(5), STRONG_FAMILIES, 1280, 24, SYMBOLS[:1])
+    rights = set(a2.terms)
+    lefts = set(a1.terms)
+    edges = sum((t.b == 1) + sum(f.partner(t) in rights for f in STRONG_FAMILIES) for t in lefts)
+    calls = []
+    search = relevance._residual_path
+    monkeypatch.setattr(relevance, "_residual_path", lambda *args: calls.append(1) or search(*args))
+    first = find_matching(a1, a2, STRONG_FAMILIES)
+    first.validate(a1, a2)
+    assert 0 < len(calls) <= edges + len(lefts)
 
 
 class TestProperties:
