@@ -308,7 +308,8 @@ def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveF
         for k, t in enumerate(line.lefts):
             need = left[t]
             for e in sorted(range(line.first[k], line.first[k + 1]), key=line.greedy.__getitem__):
-                s = 2 * (len(line.families) + head[2 * e] - len(line.lefts))  # the partner's arc on
+                # Along e, then on from its head, through the slack node if optional.
+                s = 2 * (len(line.families) + head[2 * e] - len(line.lefts))
                 sent = min(need, res[s], res[-2] if head[s] < sink else need)
                 for a in (2 * e, s, len(res) - 2) if head[s] < sink else (2 * e, s):
                     res[a] -= sent

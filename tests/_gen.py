@@ -140,9 +140,8 @@ def near_miss_pair(rng: random.Random, families=STRONG_FAMILIES, max_terms: int 
                    max_dim: int = 5, symbols=SYMBOLS):
     """A ``random_related_pair`` broken in one place: one term of either
     side moved one Arthur or one Deligne step, or one right term (a left
-    term's partner or a droppable term) deleted.  Most of these pairs
-    have no matching, and unlike those of ``random_pair`` many need more
-    than one term type to show it."""
+    term's partner or a droppable term) deleted.  At the default sizes
+    about two thirds of them have no strong matching."""
     a1, a2 = random_related_pair(rng, families, max_terms, max_dim, symbols)
     sides = [list(a1.terms), list(a2.terms)]
     roll = rng.randrange(3)

@@ -29,7 +29,7 @@ from spehcalc import (
 from spehcalc import relevance
 from spehcalc.relevance import GGP_FAMILIES, STRONG_FAMILIES, enumerate_matchings, find_matching
 from _gen import SYMBOLS, near_miss_pair, random_pair, random_param, random_related_pair
-from _oracles import oracle_matchings
+from _oracles import oracle_compatible, oracle_matchings
 
 ONE = CuspidalSymbol("one")
 RHO = CuspidalSymbol("rho")
@@ -311,11 +311,27 @@ def test_near_misses_against_brute_force(seed, built, lines):
         assert first in expected if expected else first is None
 
 
+def test_matched_pair_accepts_exactly_the_oracle_pairs():
+    """``MatchedPair`` accepts a pair of terms under a family exactly when
+    the oracle's equations hold, on every pair of small terms of two
+    cuspidal lines."""
+    terms = [SpehDatum(rho, a, b) for rho in (ONE, RHO) for a in range(1, 4) for b in range(1, 4)]
+    for left in terms:
+        for right in terms:
+            for family in MoveFamily:
+                if oracle_compatible(left, right, family):
+                    assert MatchedPair(left, right, family).right == right
+                else:
+                    with pytest.raises(ValueError, match="are not an F"):
+                        MatchedPair(left, right, family)
+
+
 def test_certificate_searches_are_linear_in_types(monkeypatch):
-    """The first certificate of a dense one-line pair (1276 terms of 501
-    types a side, Arthur and Deligne dimensions up to 24) costs a number
-    of residual path searches linear in the line's option edges and left
-    types (952 against a bound of 2270), not a flow per count tried."""
+    """The first certificate of a dense one-line pair (1276 left terms of
+    501 types, 1252 right terms, Arthur and Deligne dimensions up to 24)
+    costs a number of residual path searches linear in the line's option
+    edges and left types (952 against a bound of 2270), not a flow per
+    count tried."""
     a1, a2 = random_related_pair(random.Random(5), STRONG_FAMILIES, 1280, 24, SYMBOLS[:1])
     rights = set(a2.terms)
     lefts = set(a1.terms)
