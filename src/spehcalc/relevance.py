@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Optional
 
-from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _Record, csupp_param
+from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _Record, _support_corners
 from .sl2 import diagonal_restriction
 
 
@@ -427,11 +427,17 @@ def same_cuspidal_support(a1: ArthurParameter, a2: ArthurParameter) -> bool:
     """Whether the two parameters restrict identically to the diagonal
     SL2, equivalently carry the same cuspidal support.
 
-    Both readings are computed on every call and must agree: the
-    restriction in O(sum of min(a, b)), the run-length supports in
-    O(terms + span)."""
+    Both readings are computed on every call and must agree.  The
+    restriction costs O(sum of min(a, b)).  The support is compared by
+    its trapezoid corners (``core._support_corners``): each term adds
+    +1, -1, -1, +1 to the second difference of the support's
+    multiplicities, and on each cuspidal line and parity class the
+    multiplicities are the double prefix sum of that finitely supported
+    second difference, so equal corner sums mean equal supports and
+    conversely.  That costs O(terms), whatever a and b are, and builds
+    no twist."""
     by_restriction = diagonal_restriction(a1) == diagonal_restriction(a2)
-    by_support = csupp_param(a1) == csupp_param(a2)
+    by_support = _support_corners(a1) == _support_corners(a2)
     if by_restriction != by_support:
         raise RuntimeError(
             "diagonal restriction and cuspidal support disagree; this cannot happen"

@@ -302,3 +302,39 @@ def test_import_leaves_json_and_fractions_unloaded():
     assert unloaded == "[]"
     modules = ("branching", "cli", "core", "dsl", "relevance", "segments", "sl2")
     assert loaded == str([f"spehcalc.{m}" for m in modules])
+
+
+class TestHugeSegments:
+    """Same-group verdicts on segments of length 10^9 come from the
+    mathematics, not from memory: each runs in a child process capped at
+    1 GiB of address space, where one array as long as the exponent span
+    (8 GB of list slots) fails at once with exit 4 rather than paging."""
+
+    TRUE = ("u(rho;1,1000000000)", "u(rho;1000000000,1)")
+    # one length moved by one on each side: same dimension, other support
+    FALSE = ("u(rho;1,1000000000) + u(rho;2,1)", "u(rho;1000000001,1) + u(rho;1,1)")
+
+    @staticmethod
+    def run_capped(args):
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(spehcalc.__file__).resolve().parents[1])}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                              timeout=60, preexec_fn=cap)
+
+    @pytest.mark.parametrize("pair, code, out", [(TRUE, 0, "Ext != 0\n"), (FALSE, 1, "Ext = 0\n")])
+    def test_samegroup_cli(self, pair, code, out):
+        proc = self.run_capped(["-m", "spehcalc.cli", "samegroup", *pair])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+    @pytest.mark.parametrize("pair, verdict", [(TRUE, True), (FALSE, False)])
+    def test_same_group_ext_segment_type(self, pair, verdict):
+        probe = (
+            "import sys; from spehcalc import parse_param, same_group_ext_segment_type; "
+            "print(same_group_ext_segment_type(*map(parse_param, sys.argv[1:])))"
+        )
+        proc = self.run_capped(["-c", probe, *pair])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{verdict}\n", "")

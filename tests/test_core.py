@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from spehcalc import (
     in_cuspidal_lines,
     same_cuspidal_support,
 )
-from spehcalc.branching import BranchingVerdict
+from spehcalc.branching import BranchingVerdict, same_group_ext_segment_type
 from spehcalc.dsl import SourceSpan, format_support, format_twisted
 from spehcalc.relevance import MatchedPair, Matching, MoveFamily
 from spehcalc.segments import JacquetResult, Segment, SegmentRep
@@ -241,7 +242,7 @@ class TestLargeSupports:
         assert_summaries_match(support, expanded)
 
     @settings(max_examples=25, deadline=None)
-    @given(large_params(), st.integers(0, 2), st.randoms(use_true_random=False))
+    @given(large_params(), st.integers(0, 3), st.randoms(use_true_random=False))
     def test_same_support_on_clebsch_gordan_splits(self, param, perturbation, rng):
         split = list(clebsch_gordan_split(param).terms)
         if perturbation == 1:  # drop one segment
@@ -249,10 +250,51 @@ class TestLargeSupports:
         elif perturbation == 2:  # move one segment to another cuspidal line
             i = rng.randrange(len(split))
             split[i] = SpehDatum(rng.choice(LARGE_SYMBOLS), split[i].a, split[i].b)
+        elif perturbation == 3:  # split u(1, d) into u(1, d-1) + u(1, 1): same lines
+            long = [i for i, s in enumerate(split) if s.b >= 2]
+            if long:
+                s = split.pop(rng.choice(long))
+                split += [SpehDatum(s.rho, 1, s.b - 1), SpehDatum(s.rho, 1, 1)]
         other = ArthurParameter(tuple(split))
         expected = diagonal_restriction(param) == diagonal_restriction(other)
         assert same_cuspidal_support(param, other) == expected
         assert same_cuspidal_support(other, param) == expected
+
+    def test_same_support_builds_no_twist(self, monkeypatch):
+        """Both support comparisons answer without a single HalfInt or
+        TwistedCuspidal, on segment-type pairs over four lines (rho and
+        sigma of degree 1, tau of degree 2, and rho again at degree 3): the
+        Clebsch-Gordan splits of one parameter with a, b up to 300, once
+        as they are and once with one segment read as u(b, 1) or split
+        into u(1, b-1) + u(1, 1)."""
+        rng = random.Random(42)
+        symbols = (RHO, SIGMA, CuspidalSymbol("tau", 2), CuspidalSymbol("rho", 3))
+        cases = []
+        for _ in range(20):
+            param = ArthurParameter(tuple(
+                SpehDatum(rho, rng.randint(1, 300), rng.randint(1, 300)) for rho in symbols for _ in range(2)
+            ))
+            left, right = (list(clebsch_gordan_split(param).terms) for _ in range(2))
+            if rng.random() < 0.5:
+                i = rng.randrange(len(right))
+                s = right[i]
+                if s.b >= 2 and rng.random() < 0.5:
+                    right[i:i + 1] = [SpehDatum(s.rho, 1, s.b - 1), SpehDatum(s.rho, 1, 1)]
+                else:
+                    right[i] = SpehDatum(s.rho, s.b, 1)  # the same segment, read as u(b, 1)
+            rng.shuffle(right)
+            left, right = ArthurParameter(tuple(left)), ArthurParameter(tuple(right))
+            cases.append((left, right, csupp_param(left) == csupp_param(right)))
+        assert {expected for _, _, expected in cases} == {True, False}
+
+        def refuse(*args):
+            raise AssertionError("a twist was built")
+
+        monkeypatch.setattr("spehcalc.core.HalfInt", refuse)
+        monkeypatch.setattr("spehcalc.core.TwistedCuspidal", refuse)
+        for left, right, expected in cases:
+            assert same_cuspidal_support(left, right) == expected
+            assert same_group_ext_segment_type(left, right) == expected
 
 
 # The value-type contract: the behaviour every caller may rely on, whatever

@@ -418,8 +418,12 @@ class TestSameCuspidalSupport:
             a = random_param(rng)
             assert same_cuspidal_support(a, az_dual_param(a))
 
+    def test_same_id_other_degree(self):
+        # one symbol id at two degrees names two cuspidal lines
+        assert not same_cuspidal_support(param((RHO, 1, 3)), param((CuspidalSymbol("rho", 2), 1, 3)))
+
     def test_huge_rectangle_against_its_clebsch_gordan_split(self):
-        # 4 * 10^8 twists a side: only the run-length supports make this cheap
+        # 4 * 10^8 twists a side: comparing trapezoid corners makes this cheap
         a = param((RHO, 20000, 20000))
         split = ArthurParameter(tuple(SpehDatum(RHO, 1, d) for d in clebsch_gordan(20000, 20000)))
         assert same_cuspidal_support(a, split)
