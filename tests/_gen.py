@@ -70,9 +70,10 @@ def random_segment_type_related_pair(rng: random.Random, pairs: int, symbols=SYM
     line in ``symbols`` until the dimensions differ by exactly one.
 
     On the line ``tight``, if given, every pair is an F1 or F2 move from
-    a left u(rho;1,d), d >= 3, and no droppable term is drawn: its terms
-    u(rho;1,d), d >= 2, must all be matched, each to one of the other
-    side at d +- 1."""
+    a left u(rho;1,d), d >= 3, and no droppable term is drawn (the
+    closing ones land there when it is the first degree-1 line): its
+    terms u(rho;1,d), d >= 2, must all be matched, each to one of the
+    other side at d +- 1."""
     terms1, terms2 = [], []
     for _ in range(pairs):
         rho = rng.choice(symbols)
@@ -177,9 +178,12 @@ def near_miss_segment_type_pair(rng: random.Random, pairs: int, symbols=SYMBOLS,
     large pair almost always absorbs such a break by matching anew.  The
     other half build the pair with a tight line and move one of its
     terms u(1, d), d >= 3, on either side one Arthur step.  On that line
-    the terms u(1, d) fall into two classes by the parity of d, every
-    copy must be matched within its class, and the step takes a copy from
-    one class to the other.  Counted over 400 draws at each size (1-3
+    the left terms of even d and the right terms of odd d form one
+    class, the others a second; every copy must be matched within its
+    class, so each class holds as many copies on the left as on the
+    right, and the step takes a copy from one class to the other.
+    Droppable terms on the line can still absorb it.  Counted over 400
+    draws at each size (1-3
     lines, ``max_len`` 2-24, as ``test_near_misses_agree_with_matcher``
     draws them), 59 % of the pairs built from 50 strong pairs had no
     strong matching, 58 % at 100, 50 % at 200 and 51 % at 1000; with the
@@ -188,16 +192,16 @@ def near_miss_segment_type_pair(rng: random.Random, pairs: int, symbols=SYMBOLS,
     tight = rng.choice(symbols) if rng.random() < 0.5 else None
     a1, a2 = random_segment_type_related_pair(rng, pairs, symbols, max_len, tight)
     sides = [list(a1.terms), list(a2.terms)]
-    if tight is None and sides[1]:
-        s = sides[1].pop(rng.randrange(len(sides[1])))
-        if rng.random() < 0.75:
-            moved = SpehDatum(s.rho, 1, _step(rng, s.b)) if s.a == 1 else SpehDatum(s.rho, _step(rng, s.a), 1)
-            sides[1].append(moved)
-    elif tight is not None:
+    if tight is not None:
         steps = [(side, i) for side in sides for i, s in enumerate(side) if s.rho == tight and s.b >= 3]
         if steps:
             side, i = rng.choice(steps)
             side[i] = SpehDatum(tight, 1, _step(rng, side[i].b))
+    elif sides[1]:
+        s = sides[1].pop(rng.randrange(len(sides[1])))
+        if rng.random() < 0.75:
+            moved = SpehDatum(s.rho, 1, _step(rng, s.b)) if s.a == 1 else SpehDatum(s.rho, _step(rng, s.a), 1)
+            sides[1].append(moved)
     excess = sum(t.degree for t in sides[0]) - sum(t.degree for t in sides[1]) - 1
     unit = SpehDatum(next(r for r in symbols if r.degree == 1), 1, 1)
     sides[1 if excess > 0 else 0].extend([unit] * abs(excess))

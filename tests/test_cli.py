@@ -308,7 +308,7 @@ class TestHugeSegments:
     """Same-group verdicts on segments of length 10^9 come from the
     mathematics, not from memory: each runs in a child process capped at
     1 GiB of address space, where one array as long as the exponent span
-    (8 GB of list slots) fails at once with exit 4 rather than paging."""
+    (16 GB of list slots here) fails at once with exit 4 rather than paging."""
 
     TRUE = ("u(rho;1,1000000000)", "u(rho;1000000000,1)")
     # one length moved by one on each side: same dimension, other support
