@@ -6,12 +6,14 @@ verdict, 2 for usage or parse errors, 3 for a violated theorem
 hypothesis, 4 for an internal error (so that no failure reads as a
 verdict).  ``--json`` switches the output to machine-readable form and
 ``--quiet`` suppresses stdout entirely, leaving the exit code as the sole
-verdict channel.
+verdict channel.  A reader that closes stdout early does not change the
+exit code either.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -64,10 +66,16 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
     if args.json:
         import json
 
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps(payload, indent=2, sort_keys=True)]
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout, as "| head" does; the exit code still
+        # carries the verdict.  What is left in the buffer goes to devnull,
+        # so that the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _matching_lines(matching: Matching, indent: str = "  ") -> list[str]:

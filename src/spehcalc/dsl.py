@@ -20,14 +20,14 @@ ident "x" is reserved; "one" names the trivial-character line and always
 has degree 1.  The formatters emit the canonical form: terms in canonical
 order, u(...) syntax, " + " separators.
 
-Text is read through one of two token streams.  The plain stream has one
-token per integer, identifier or punctuation mark; parse_segment and
-parse_support read only this one.  The parameter stream, for parse_param
-and parse_rep, adds one token for each whole u(sym[:deg];a,b) term that
-parse_u_term would accept, so a canonical term costs one regex match.  If
-the parameter stream raises ParseError, the text is read again over the
-plain stream, so every error, with its message, span and expected set,
-comes from the plain stream.
+parse_segment and parse_support read text as a stream of plain tokens,
+one per integer, identifier or punctuation mark.  parse_param and
+parse_rep first try the whole text against one regex: u(sym[:deg];a,b)
+terms exactly as parse_u_term accepts them, separated by "+" or "x".
+This is the form the formatters emit, and it costs one match for the
+text and one more for each term's fields.  Any other text, including
+every invalid one, is read over the plain stream, so every error, with
+its message, span and expected set, comes from the plain stream.
 """
 
 from __future__ import annotations
@@ -76,51 +76,54 @@ class ParseError(Exception):
         return f"{self.message} at {self.span.start}..{self.span.end} (expected {names})"
 
 
-_TOKENS = r"""
+_TOKEN_RE = re.compile(
+    r"""
       (?P<ws>\s+)
     | (?P<int>-?[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<dotdot>\.\.)
     | (?P<punct>[+;,(){}\[\]:/^])
-    """
-_TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
-
-# The parameter stream: one more, leading alternative that takes a whole
-# u(sym[:deg];a,b) term, with the whitespace around it, exactly when
-# parse_u_term accepts it: sym is not "x", "one" has no degree but 1, and
-# the degree, a and b are positive.  Groups 2-5 are sym, deg, a and b.
-_POSITIVE = r"0*[1-9][0-9]*"
-_PARAM_TOKEN_RE = re.compile(
-    rf"""
-      (?P<speh>\s*u\(
-        (?!x[:;])(?!one:(?!0*1;))([A-Za-z_][A-Za-z0-9_]*)
-        (?::({_POSITIVE}))?
-        ;({_POSITIVE}),({_POSITIVE})\)\s*)
-    | {_TOKENS}""",
+    """,
     re.VERBOSE,
 )
 
+# A u(sym[:deg];a,b) term exactly when parse_u_term accepts it: sym is
+# not "x", "one" has no degree but 1, and the degree, a and b are
+# positive.  Its fields sym, deg (empty when absent), a and b are groups
+# that open with {open}: "(" captures them, for findall; "(?:" does not,
+# for the whole-text match, where a capture would only cost time.
+_POSITIVE = r"0*[1-9][0-9]*"
+_U_TERM = (
+    r"u\((?!x[:;])(?!one:(?!0*1;)){open}[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?::{open}{pos}))?;{open}{pos}),{open}{pos})\)"
+)
+_U_TERM_RE = re.compile(_U_TERM.format(open="(", pos=_POSITIVE))
+# A whole text of such terms, separated by "+" or by an "x" that does not
+# begin a longer identifier, with whitespace free around each.
+_U_TERMS_RE = re.compile(
+    r"\s*{term}(?:\s*(?:\+|x(?![A-Za-z0-9_]))\s*{term})*\s*".format(
+        term=_U_TERM.format(open="(?:", pos=_POSITIVE)
+    )
+)
 
-_Tok = tuple[str, Union[str, tuple], int, int]  # (kind, text, start, end)
+
+_Tok = tuple[str, str, int, int]  # (kind, text, start, end)
 
 
-def _tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[_Tok]:
+def _tokenize(text: str) -> list[_Tok]:
     """The tokens of text, whitespace dropped, in one pass, ending with an
     ("eof", "", n, n) sentinel.  Kind is "int", "ident", "dotdot" or
     "punct"; no two kinds share a text, so the parser tells punctuation
-    apart by its text alone.  On the parameter stream a whole Speh term is
-    one "speh" token whose text is the tuple (sym, deg or None, a, b)."""
+    apart by its text alone."""
     tokens = []
     pos = 0
-    for m in token_re.finditer(text):
+    for m in _TOKEN_RE.finditer(text):
         start, end = m.span()
         if start != pos:
             break  # the characters between two matches fit no token
         pos = end
         kind = m.lastgroup
-        if kind == "speh":
-            tokens.append((kind, m.group(2, 3, 4, 5), start, end))
-        elif kind != "ws":
+        if kind != "ws":
             tokens.append((kind, m.group(), start, end))
     if pos != len(text):
         raise ParseError(
@@ -137,10 +140,9 @@ def _span(tok: _Tok) -> SourceSpan:
 
 
 class _Parser:
-    def __init__(self, text: str, token_re: re.Pattern = _TOKEN_RE):
-        self.tokens = _tokenize(text, token_re)
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.symbols: dict[tuple, CuspidalSymbol] = {}  # per "speh" (sym, deg)
 
     def accept(self, text: str) -> bool:
         """Consume the next token if its text is text."""
@@ -240,14 +242,6 @@ class _Parser:
 
     def parse_term(self) -> Union[SpehDatum, SegmentRep]:
         tok = self.tokens[self.pos]
-        if tok[0] == "speh":
-            self.pos += 1
-            name, degree, a, b = tok[1]
-            rho = self.symbols.get((name, degree))
-            if rho is None:
-                rho = CuspidalSymbol(name, int(degree) if degree else 1)
-                self.symbols[name, degree] = rho
-            return SpehDatum(rho, int(a), int(b))
         if tok[0] != "ident":
             raise self.fail(tok, "term", {"'u('", "'triv('", "'st('", "'Z['", "'Q['", "symbol"})
         name, following = tok[1], self.tokens[self.pos + 1][1]
@@ -349,14 +343,24 @@ class _Parser:
 
 
 def _read_param_text(text: str, read: Callable[[_Parser], object]):
-    """read(parser) over the parameter stream of text.  If that fails, the
-    text is read again over the plain stream, which returns the value or
-    raises the error: every error comes from the plain stream."""
-    try:
-        return read(_Parser(text, _PARAM_TOKEN_RE))
-    except ParseError:
-        pass
-    return read(_Parser(text))
+    """The parameter of a text of u-terms alone, by ``_U_TERMS_RE``, with
+    each distinct term's value built once; for any other text, read(parser)
+    over the plain stream, which returns the value or raises the error."""
+    if _U_TERMS_RE.fullmatch(text) is None:
+        return read(_Parser(text))
+    symbols: dict[tuple, CuspidalSymbol] = {}
+    data: dict[tuple, SpehDatum] = {}
+    terms = []
+    for key in _U_TERM_RE.findall(text):
+        s = data.get(key)
+        if s is None:
+            name, degree, a, b = key
+            rho = symbols.get((name, degree))
+            if rho is None:
+                rho = symbols[name, degree] = CuspidalSymbol(name, int(degree) if degree else 1)
+            s = data[key] = SpehDatum(rho, int(a), int(b))
+        terms.append(s)
+    return ArthurParameter(terms)
 
 
 def parse_param(text: str) -> ArthurParameter:

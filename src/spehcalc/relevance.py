@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import product
+from functools import lru_cache
+from itertools import groupby, product
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _Record, _support_corners
@@ -37,22 +39,22 @@ class MoveFamily(Enum):
     def partner(self, left: SpehDatum) -> Optional[SpehDatum]:
         """The unique right-side term this family pairs with ``left``, or
         None when the family degenerates (step down from Arthur dim 1)."""
-        a, b = _PARTNER_KEYS[self._value_](left.a, left.b)
+        a, b = _partner_keys(left.a, left.b)[_KEY_INDEX[self._value_]]
         return SpehDatum(left.rho, a, b) if a and b else None
 
     def compatible(self, left: SpehDatum, right: SpehDatum) -> bool:
         return self.partner(left) == right
 
 
-# The (a, b) of the right term each family (keyed by its value) pairs
-# with a left u_rho(a, b); a step down from Arthur dimension 1 gives a
-# key with a zero, which no term has.
-_PARTNER_KEYS = {
-    "F1": lambda a, b: (a, b - 1),
-    "F2": lambda a, b: (a, b + 1),
-    "F3": lambda a, b: (b - 1, a),
-    "F4": lambda a, b: (b, a + 1),
-}
+def _partner_keys(a: int, b: int) -> tuple:
+    """The (a, b) of the right term that F1, F2, F3 and F4 each pair with
+    a left u_rho(a, b), at ``_KEY_INDEX`` of the family's value; a step
+    down from Arthur dimension 1 gives a key with a zero, which no term
+    has."""
+    return (a, b - 1), (a, b + 1), (b - 1, a), (b, a + 1)
+
+
+_KEY_INDEX = {"F1": 0, "F2": 1, "F3": 2, "F4": 3}
 
 
 GGP_FAMILIES = (MoveFamily.F1, MoveFamily.F2)
@@ -63,7 +65,7 @@ class MatchedPair(_Record):
     __slots__ = ("left", "right", "family")
 
     def __init__(self, left: SpehDatum, right: SpehDatum, family: MoveFamily) -> None:
-        a, b = _PARTNER_KEYS[family._value_](left.a, left.b)
+        a, b = _partner_keys(left.a, left.b)[_KEY_INDEX[family._value_]]
         if right.a != a or right.b != b or right.rho.sort_key != left.rho.sort_key:
             raise ValueError(f"terms ({left}, {right}) are not an {family.value} pair")
         set_left, set_right, set_family = self._setters
@@ -163,7 +165,7 @@ def term_from_json(data: dict) -> SpehDatum:
 # Search internals.  A matching covers every term of Arthur dimension > 1
 # by a capacitated bipartite matching of term types.  Families keep rho,
 # so each cuspidal line is a problem of its own, a ``_Line`` network, its
-# partners found by the (a, b) keys of ``_PARTNER_KEYS``.  Its matchings
+# partners found by the (a, b) keys of ``_partner_keys``.  Its matchings
 # are its saturating integer flows (Hoffman 1960): every copy of a left
 # type leaves by one option edge, a drop (b == 1) or a family's partner;
 # required right types (b > 1) pass their copies to the sink, optional
@@ -200,33 +202,64 @@ class _Line:
     types, the slack node and the sink; edges e the option edges in search
     order (``families[e]`` None for a drop), each right type's, the slack
     node's.  Edge e has arcs 2e and 2e + 1 (back), with a ``head`` and a
-    residual capacity ``res``; ``arcs`` lists each node's arcs out."""
+    residual capacity ``res``; ``arcs`` lists each node's arcs out.  Left
+    type k's option edges are ``first[k]`` on, and ``greedy[k]`` lists
+    their offsets from there in the order the start of the flow tries
+    them.  ``picks`` and ``offsets`` are ``_option_tables`` of the
+    families."""
 
     __slots__ = ("lefts", "rights", "first", "families", "greedy", "head", "arcs", "res", "part")
 
-    def __init__(self, lefts: list, rights: list, left: Counter, right: Counter, keys: list) -> None:
-        self.lefts, self.rights, self.first, self.families, self.greedy = lefts, rights, [], [], []
+    def __init__(self, lefts: list, rights: list, left: Counter, right: Counter, picks: tuple,
+                 offsets: tuple) -> None:
+        first, families, greedy, head, res = [], [], [], [], []
         slack = len(lefts) + len(rights)
-        index = {(r.a, r.b): v for v, r in enumerate(rights, len(lefts))}
-        head, res, total = [], [], 0
+        get = {(r.a, r.b): v for v, r in enumerate(rights, len(lefts))}.get
+        total = 0
         for k, t in enumerate(lefts):
-            self.first.append(len(self.families))
+            first.append(len(families))
             n = left[t]
             total += n
-            options = [(None, slack)] if t.b == 1 else []
-            for f, v in options + [(f, index.get(key(t.a, t.b))) for f, key in keys]:
+            mask = 0
+            if t.b == 1:
+                mask = 1
+                families.append(None)
+                head += (slack, k)
+                res += (n, 0)
+            keys = _partner_keys(t.a, t.b)
+            for f, i, bit in picks:
+                v = get(keys[i])
                 if v is not None:
-                    self.families.append(f)
-                    self.greedy.append(_GREEDY[f and f._value_])
+                    mask |= bit
+                    families.append(f)
                     head += (v, k)
                     res += (n, 0)
-        self.first.append(len(self.families))
+            greedy.append(offsets[mask])
+        first.append(len(families))
         for v, r in enumerate(rights, len(lefts)):
+            n = right[r]
+            if r.b > 1:
+                total -= n
             head += (slack + (r.b > 1), v)
-            res += (right[r], 0)
-            total -= right[r] if r.b > 1 else 0
+            res += (n, 0)
+        self.lefts, self.rights, self.first, self.families, self.greedy = lefts, rights, first, families, greedy
         self.head, self.res = head + [slack + 1, slack], res + [total, 0]
         self.arcs, self.part = None, [None] * (slack + 2)
+
+
+@lru_cache(maxsize=16)
+def _option_tables(families: tuple[MoveFamily, ...]) -> tuple[tuple, tuple]:
+    """(family, its ``_KEY_INDEX``, its bit in an options mask) for each
+    of the families; and for each options mask of a left type (bit 0 a
+    drop, bit i + 1 a partner by ``families[i]``), the offsets of its
+    option edges, which come in search order, sorted by ``_GREEDY`` rank."""
+    picks = tuple((f, _KEY_INDEX[f._value_], 2 << i) for i, f in enumerate(families))
+    options = (None, *families)
+    offsets = []
+    for mask in range(2 << len(families)):
+        ranks = [_GREEDY[f and f._value_] for i, f in enumerate(options) if mask >> i & 1]
+        offsets.append(tuple(sorted(range(len(ranks)), key=ranks.__getitem__)))
+    return picks, tuple(offsets)
 
 
 def _residual_path(line: _Line, res: list, part: list, source: int, target: int, free: int):
@@ -291,30 +324,43 @@ def _lower(line: _Line, res: list, part: list, e: int) -> bool:
     return bool(reached)
 
 
+_rho = attrgetter("rho")
+
+
 def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]):
     """Each cuspidal line's ``_Line`` with a saturating flow, or None."""
     left, right = Counter(a1.terms), Counter(a2.terms)
     lines: dict = {}
     for side, terms in enumerate((left, right)):
-        for t in terms:
-            lines.setdefault(t.rho, ([], []))[side].append(t)
-    keys = [(f, _PARTNER_KEYS[f._value_]) for f in families]
+        for rho, types in groupby(terms, _rho):  # terms come sorted, so by line
+            lines.setdefault(rho, ([], []))[side].extend(types)
+    picks, offsets = _option_tables(tuple(families))
     graphs = []
     for lefts, rights in lines.values():
-        line = _Line(sorted(lefts, key=_order), rights, left, right, keys)
-        head, res, sink = line.head, line.res, len(line.part) - 1
+        line = _Line(sorted(lefts, key=_order), rights, left, right, picks, offsets)
+        head, res, first, sink = line.head, line.res, line.first, len(line.part) - 1
         if res[-2] < 0:
             return None
+        slack_arc, right_arc = len(res) - 2, 2 * (len(line.families) - len(line.lefts))
         for k, t in enumerate(line.lefts):
             need = left[t]
-            for e in sorted(range(line.first[k], line.first[k + 1]), key=line.greedy.__getitem__):
-                # Along e, then on from its head, through the slack node if optional.
-                s = 2 * (len(line.families) + head[2 * e] - len(line.lefts))
-                sent = min(need, res[s], res[-2] if head[s] < sink else need)
-                for a in (2 * e, s, len(res) - 2) if head[s] < sink else (2 * e, s):
-                    res[a] -= sent
-                    res[a ^ 1] += sent
+            for off in line.greedy[k]:
+                # Along the option edge's arc a, then the arc s on from its
+                # head, through the slack node if that is optional.
+                a = 2 * (first[k] + off)
+                s = right_arc + 2 * head[a]
+                sent = min(need, res[s])
+                if head[s] < sink:
+                    sent = min(sent, res[slack_arc])
+                    res[slack_arc] -= sent
+                    res[slack_arc + 1] += sent
+                res[a] -= sent
+                res[a + 1] += sent
+                res[s] -= sent
+                res[s + 1] += sent
                 need -= sent
+                if not need:
+                    break
             while need:
                 reached = _residual_path(line, res, line.part, k, sink, 0)
                 if reached is None:

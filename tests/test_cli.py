@@ -338,3 +338,35 @@ class TestHugeSegments:
         )
         proc = self.run_capped(["-c", probe, *pair])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{verdict}\n", "")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the output is written leaves the
+    verdict in the exit code: no ``internal error``, nothing on stderr."""
+
+    @staticmethod
+    def command(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(spehcalc.__file__).resolve().parents[1])}
+        return [sys.executable, "-m", "spehcalc.cli", *argv], env
+
+    def test_large_output_closed_after_20_bytes_exits_0(self):
+        # about 1.2 MB of support, far more than a pipe holds
+        argv, env = self.command("csupp", "u(rho;300,300)")
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(20)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=60)
+        assert (head, proc.returncode, stderr) == (b"{nu^-299 rho, nu^-29", 0, b"")
+
+    @pytest.mark.parametrize("command, code", [("strong", 0), ("relevant", 1)])
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_verdict_to_a_closed_reader_keeps_its_exit_code(self, command, code, flags):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv, env = self.command(command, *flags, "triv(3)", "st(2)")
+        try:
+            proc = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")

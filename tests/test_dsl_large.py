@@ -1,11 +1,14 @@
 """Round trips of large parameters through the parser: hundreds to a few
 thousand terms over many cuspidals, in every spelling the grammar allows.
-Also: the parameter token stream, with one token per Speh term, agrees with
-the plain per-token stream, in values and in errors."""
+Also: parse_param and parse_rep, which read a text of u-terms with one
+whole-text regex, agree with the plain per-token stream, in values and in
+errors, and read such texts without the plain stream."""
 
 from __future__ import annotations
 
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -84,7 +87,7 @@ def test_large_parameters_round_trip(n, seed):
     assert format_param(parse_param(text)) == text
 
 
-# The parameter stream against the plain one
+# The whole-text path against the plain stream
 
 MUTATIONS = "u();,:+x01- "
 
@@ -145,16 +148,56 @@ def test_mutated_short_texts_parse_as_on_the_plain_stream(n, seed):
     "u(rho;01,2)", "u(rho;-1,2)", "u(rho;0,2)", "u(rho:0;1,1)", "u( rho;1,1)", "u (rho;1,1)",
     "2u(rho;1,1)", "u(rho;1,1)2", "u(rho;1,1) x", "0 + u(rho;1,1)", "Z[-1/2..1/2]{rho}u(rho;1,1)",
     "Z[0..0]{u(rho;1,1)}", "u(rho;1,1)\u00a0+\u2003u(rho;2,2)",
+    "u(a;1,1)x u(b;1,1)", "u(a;1,1) xu(b;1,1)", "u(a;1,1) x_ u(b;1,1)",
+    "u(a;1,1) + x u(b;1,1)", "u(a;1,1)++u(b;1,1)", "+u(a;1,1)", "u(a;1,1)+",
+    "u(one:1;1,1)", "\tu(a;1,1)\n+\tu(b;2,1)\n\tx\n u(one;1,3) \t",
 ])
 def test_edge_cases_parse_as_on_the_plain_stream(text):
     assert_streams_agree(text)
 
 
+def test_an_overlong_integer_fails_alike_on_both_paths():
+    # Python 3.11 and later refuse to convert a string of over 4300 digits
+    # (sys.get_int_max_str_digits); the error is the same on either path.
+    text = "u(rho;1,1) + u(rho;1" + "0" * 4999 + ",2)"
+
+    def read(parse):
+        try:
+            return parse(text)
+        except ValueError as err:
+            return type(err), str(err)
+
+    outcomes = [read(parse) for parse in (parse_param, parse_rep, plain_param, plain_rep)]
+    assert outcomes[1:] == outcomes[:-1]
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        assert outcomes[0][0] is ValueError
+
+
+def spell_u_terms(param: ArthurParameter, rng: random.Random) -> str:
+    """format_param's text, with "+" or "x" separators, random whitespace
+    around them, leading zeros and explicit degrees 1, "one:1" among them."""
+    def number(n: int) -> str:
+        return "0" * rng.choice((0, 0, 1, 3)) + str(n)
+
+    parts = []
+    for s in param:
+        degree = ":" + number(s.rho.degree) if s.rho.degree > 1 or rng.random() < 0.2 else ""
+        parts.append(f"u({s.rho.id}{degree};{number(s.a)},{number(s.b)})")
+    text = parts[0]
+    for part in parts[1:]:
+        text += rng.choice(("+", " + ", "x ", " x ", "\tx\n", "\n+\t")) + part
+    return rng.choice(SPACES) + text + rng.choice(SPACES)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(1, 3000), st.integers(0, 2**32))
-def test_canonical_terms_are_one_token_each(n, seed):
-    # N terms, N - 1 "+" and the end: a regex slip that sends terms down
-    # the per-token path would otherwise show only in the timings
-    param = ArthurParameter(tuple(random_terms(random.Random(seed), n)))
-    tokens = dsl._tokenize(format_param(param), dsl._PARAM_TOKEN_RE)
-    assert len(tokens) <= 2 * n + 1
+def test_canonical_texts_never_reach_the_plain_stream(n, seed):
+    # a regex slip that sends such texts down the per-token path would
+    # otherwise show only in the timings
+    rng = random.Random(seed)
+    param = ArthurParameter(tuple(random_terms(rng, n)))
+    texts = (format_param(param), spell_u_terms(param, rng))
+    with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("plain stream used")):
+        for text in texts:
+            assert parse_param(text) == param
+            assert parse_rep(text) == param

@@ -330,7 +330,7 @@ def test_certificate_searches_are_linear_in_types(monkeypatch):
     """The first certificate of a dense one-line pair (1276 left terms of
     501 types, 1252 right terms, Arthur and Deligne dimensions up to 24)
     costs a number of residual path searches linear in the line's option
-    edges and left types (952 against a bound of 2270), not a flow per
+    edges and left types (916 against a bound of 2270), not a flow per
     count tried."""
     a1, a2 = random_related_pair(random.Random(5), STRONG_FAMILIES, 1280, 24, SYMBOLS[:1])
     rights = set(a2.terms)
@@ -342,6 +342,27 @@ def test_certificate_searches_are_linear_in_types(monkeypatch):
     first = find_matching(a1, a2, STRONG_FAMILIES)
     first.validate(a1, a2)
     assert 0 < len(calls) <= edges + len(lefts)
+
+
+@pytest.mark.parametrize("families", [GGP_FAMILIES, STRONG_FAMILIES])
+@pytest.mark.parametrize("left, right", [
+    ("u(rho;1,2) + rho", "u(rho;1,3) + rho"),
+    ("u(rho;2,1) + rho", "u(rho;2,2)"),
+])
+def test_flow_start_tries_a_step_up_first(monkeypatch, families, left, right):
+    """The start of a line's flow sends each left type to a partner one
+    Arthur step up before one step down, and to a drop last, so on these
+    pairs the verdict makes no path search.  In the first, u(rho;1,2) goes
+    to u(rho;1,3) and leaves the slack node's one unit to the droppable
+    rho; tried in search order, u(rho;1,2) would take that unit through
+    its F1 partner rho.  In the second, u(rho;2,1) goes to u(rho;2,2);
+    tried first, its drop would take the unit rho needs.  Either way a
+    path search would have to undo it."""
+    calls = []
+    search = relevance._residual_path
+    monkeypatch.setattr(relevance, "_residual_path", lambda *args: calls.append(1) or search(*args))
+    assert relevance._relevant(parse_param(left), parse_param(right), families)
+    assert calls == []
 
 
 class TestProperties:
