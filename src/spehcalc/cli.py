@@ -96,27 +96,16 @@ def _matching_json(matching: Optional[Matching]) -> Optional[dict]:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
+    """``parse`` echoes the value, ``dual`` its Aubert-Zelevinsky dual."""
     value = parse_rep(args.expr)
     if isinstance(value, SegmentRep):
-        canonical = format_segment_rep(value)
-        dim = value.degree
+        if args.command == "dual":
+            value = SegmentRep("Q" if value.kind == "Z" else "Z", value.segment)
+        canonical, dim = format_segment_rep(value), value.degree
     else:
-        canonical = format_param(value)
-        dim = value.dim
-    _emit(args, [canonical, f"dim {dim}"], {"canonical": canonical, "dim": dim})
-    return EXIT_TRUE
-
-
-def _cmd_dual(args: argparse.Namespace) -> int:
-    value = parse_rep(args.expr)
-    if isinstance(value, SegmentRep):
-        dual = SegmentRep("Q" if value.kind == "Z" else "Z", value.segment)
-        canonical = format_segment_rep(dual)
-        dim = dual.degree
-    else:
-        dual_param = az_dual_param(value)
-        canonical = format_param(dual_param)
-        dim = dual_param.dim
+        if args.command == "dual":
+            value = az_dual_param(value)
+        canonical, dim = format_param(value), value.dim
     _emit(args, [canonical, f"dim {dim}"], {"canonical": canonical, "dim": dim})
     return EXIT_TRUE
 
@@ -264,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("parse", _cmd_parse, "echo the canonical form and dimension", ["expr"])
-    add("dual", _cmd_dual, "Aubert-Zelevinsky dual", ["expr"])
+    add("dual", _cmd_parse, "Aubert-Zelevinsky dual", ["expr"])
     add("minus", _cmd_minus, "termwise Arthur step down, reporting drops", ["expr"])
     add("csupp", _cmd_csupp, "cuspidal support multiset", ["expr"])
 

@@ -178,15 +178,16 @@ def term_from_json(data: dict) -> SpehDatum:
 # ``_order``; a drop, then F1-F4), leaving only later edges free.  The
 # feasible counts on an edge form an interval (flows are the integer
 # points of a totally unimodular system), read off the residual graph:
-# the largest by cycles through the edge (``_raise``), the smaller ones
-# by cycles through it reversed (``_lower``).  Counts taken largest first
+# the largest by cycles through the edge, the smaller ones by cycles
+# through it reversed, both over the arcs of later edges only, so any
+# flow with the same earlier counts answers.  Counts taken largest first
 # make the first leaf the lexicographically largest count vector, the
 # matching a copy-by-copy search in the same order finds first (identical
 # copies are interchangeable), and the pair's first matching the union
 # of its lines'.  No residual arc leaves the nodes a failed search
-# reaches, so no later cycle crosses them: ``part`` keeps such classes
-# and a search stays within one.  ``find_matching`` raises every edge in
-# place; enumeration saves the flow at each edge to step it down later.
+# reaches, so no later cycle over the same arcs crosses them: a class
+# list keeps such classes and a search stays within one.  One walk over
+# the live flow finds every matching; the first is ``find_matching``'s.
 # The start of a line's flow routes each type straight to partners with
 # room, one step up (F2, F4) before one step down, as fewer types later
 # in ``_order`` can fill them, and a drop last; then along paths.
@@ -208,7 +209,7 @@ class _Line:
     them.  ``picks`` and ``offsets`` are ``_option_tables`` of the
     families."""
 
-    __slots__ = ("lefts", "rights", "first", "families", "greedy", "head", "arcs", "res", "part")
+    __slots__ = ("lefts", "rights", "first", "families", "greedy", "head", "arcs", "res")
 
     def __init__(self, lefts: list, rights: list, left: Counter, right: Counter, picks: tuple,
                  offsets: tuple) -> None:
@@ -244,7 +245,7 @@ class _Line:
             res += (n, 0)
         self.lefts, self.rights, self.first, self.families, self.greedy = lefts, rights, first, families, greedy
         self.head, self.res = head + [slack + 1, slack], res + [total, 0]
-        self.arcs, self.part = None, [None] * (slack + 2)
+        self.arcs = None
 
 
 @lru_cache(maxsize=16)
@@ -262,12 +263,12 @@ def _option_tables(families: tuple[MoveFamily, ...]) -> tuple[tuple, tuple]:
     return picks, tuple(offsets)
 
 
-def _residual_path(line: _Line, res: list, part: list, source: int, target: int, free: int):
+def _residual_path(line: _Line, part: list, source: int, target: int, free: int):
     """A path from ``source`` to ``target`` over the arcs from ``free``
-    on with room in ``res`` and the nodes of ``source``'s class: a dict
+    on with room in ``line.res`` and the nodes of ``source``'s class: a dict
     from each node reached to the arc that reached it, or None, in which
     case the nodes reached become a class of their own."""
-    head, arcs = line.head, line.arcs
+    head, res, arcs = line.head, line.res, line.arcs
     if arcs is None:  # built on the first search: most verdicts need none
         line.arcs = arcs = [[] for _ in part]
         for a in range(len(head)):
@@ -291,37 +292,23 @@ def _residual_path(line: _Line, res: list, part: list, source: int, target: int,
     return None
 
 
-def _push(line: _Line, res: list, reached: dict, end: int, most: int, close: tuple = ()) -> int:
-    """Send up to ``most`` units along the path to ``end`` in ``reached``
-    and then the arcs ``close``; return the number sent."""
-    path, w = list(close), end
-    while reached[w] is not None:
-        path.append(reached[w])
-        most = min(most, res[path[-1]])
-        w = line.head[path[-1] ^ 1]
-    for a in path:
-        res[a] -= most
-        res[a ^ 1] += most
-    return most
-
-
-def _raise(line: _Line, res: list, part: list, e: int) -> None:
-    """Move onto option edge ``e`` as many of its type's copies on later
-    edges as the line allows, by cycles from e's head to its type."""
-    k, q = line.head[2 * e + 1], line.head[2 * e]
-    rest = sum(res[2 * e + 3:2 * line.first[k + 1]:2])
-    while rest and (reached := _residual_path(line, res, part, q, k, 2 * e + 2)):
-        rest -= _push(line, res, reached, k, rest, (2 * e,))
-
-
-def _lower(line: _Line, res: list, part: list, e: int) -> bool:
-    """Move one copy of option edge ``e``'s type onto a later edge, if the
-    line allows, by a cycle from the type to e's head."""
-    k, q = line.head[2 * e + 1], line.head[2 * e]
-    reached = res[2 * e + 1] and _residual_path(line, res, part, k, q, 2 * e + 2)
-    if reached:
-        _push(line, res, reached, q, 1, (2 * e + 1,))
-    return bool(reached)
+def _send(line: _Line, part: list, source: int, target: int, free: int, most: int,
+          close: tuple = ()) -> int:
+    """Send up to ``most`` units from ``source`` to ``target``, one
+    ``_residual_path`` at a time, each path followed by the arcs
+    ``close``; return the number sent."""
+    head, res, sent = line.head, line.res, 0
+    while sent < most and (reached := _residual_path(line, part, source, target, free)):
+        path, w, n = list(close), target, most - sent
+        while reached[w] is not None:
+            path.append(reached[w])
+            n = min(n, res[path[-1]])
+            w = head[path[-1] ^ 1]
+        for a in path:
+            res[a] -= n
+            res[a ^ 1] += n
+        sent += n
+    return sent
 
 
 _rho = attrgetter("rho")
@@ -338,9 +325,11 @@ def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveF
     graphs = []
     for lefts, rights in lines.values():
         line = _Line(sorted(lefts, key=_order), rights, left, right, picks, offsets)
-        head, res, first, sink = line.head, line.res, line.first, len(line.part) - 1
+        head, res, first = line.head, line.res, line.first
+        sink = head[-2]  # the head of the slack node's edge
         if res[-2] < 0:
             return None
+        part = [None] * (sink + 1)  # a failed search ends the line: no class outlives the start
         slack_arc, right_arc = len(res) - 2, 2 * (len(line.families) - len(line.lefts))
         for k, t in enumerate(line.lefts):
             need = left[t]
@@ -361,18 +350,15 @@ def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveF
                 need -= sent
                 if not need:
                     break
-            while need:
-                reached = _residual_path(line, res, line.part, k, sink, 0)
-                if reached is None:
-                    return None
-                need -= _push(line, res, reached, sink, need)
+            if need and _send(line, part, k, sink, 0, need) < need:
+                return None
         graphs.append(line)
     return graphs
 
 
-def _leaf(line: _Line, res: list):
+def _leaf(line: _Line):
     """A line's matching as ``(pairs, dropped left, dropped right)``."""
-    pairs, drops, dropped_right = [], [], []
+    res, pairs, drops, dropped_right = line.res, [], [], []
     for e, f in enumerate(line.families):
         t, n = line.lefts[line.head[2 * e + 1]], res[2 * e + 1]
         if f is None:
@@ -385,24 +371,32 @@ def _leaf(line: _Line, res: list):
 
 
 def _line_matchings(line: _Line):
-    """Every matching of one line, each once, ``find_matching``'s first."""
-    res, part = line.res, line.part
-    # (edge, res, part) at each option edge above the leaf, the part as it
-    # was before the edge was raised: the one that holds to step it down.
-    saved, e = [], 0
+    """Every matching of one line, each once, in descending order of the
+    count vector, by one walk over ``line.res``: raise every edge from e
+    on, yield the leaf, then lower by one the last edge that can give up
+    a copy, by a cycle through it reversed, and go on from the edge after
+    it.  The later edges stay at their leaf counts for that search, which
+    is sound as only the counts of earlier edges bound it.  A class found
+    by a failed search holds at its own ``free`` and above, while a step
+    down searches from a lower ``free``, so each step-down search starts
+    from a new class list.
+    """
+    head, res, first, n = line.head, line.res, line.first, len(line.families)
+    part, e = [None] * (head[-2] + 1), 0
     while True:
-        for e in range(e, len(line.families)):
-            before = part[:]
-            _raise(line, res, part, e)
-            saved.append((e, res[:], before))
-        yield _leaf(line, res)
-        while saved:
-            e, res, part = saved.pop()
-            if _lower(line, res, part, e):
-                break
+        for e in range(e, n):
+            # onto e, by cycles from its head, what its type has on later edges
+            k = head[2 * e + 1]
+            rest = sum(res[2 * e + 3:2 * first[k + 1]:2])
+            _send(line, part, head[2 * e], k, 2 * e + 2, rest, (2 * e,))
+        yield _leaf(line)
+        for e in reversed(range(n)):
+            if res[2 * e + 1]:
+                part = [None] * len(part)
+                if _send(line, part, head[2 * e + 1], head[2 * e], 2 * e + 2, 1, (2 * e + 1,)):
+                    break
         else:
             return
-        saved.append((e, res[:], part[:]))
         e += 1
 
 
@@ -423,10 +417,7 @@ def find_matching(
     graphs = _line_graphs(a1, a2, families)
     if graphs is None:
         return None
-    for g in graphs:
-        for e in range(len(g.families)):
-            _raise(g, g.res, g.part, e)
-    return _merge(_leaf(g, g.res) for g in graphs)
+    return _merge(next(_line_matchings(g)) for g in graphs)
 
 
 def enumerate_matchings(

@@ -375,7 +375,7 @@ def test_c10_round_trips_and_cli_golden_files(capsys):
     """
     rng = random.Random(1010)
     golden_dir = Path(__file__).parent / "golden"
-    exit_codes = json.loads((golden_dir / "exit_codes.json").read_text())
+    exit_codes = json.loads((golden_dir / "exit_codes.json").read_text(encoding="utf-8"))
     cli_fixtures = {
         "ext_triv3_st2": ["ext", "triv(3)", "st(2)"],
         "ext_st5_triv4": ["ext", "st(5)", "triv(4)"],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from spehcalc.cli import main
 from _gen import LARGE_FALSE_DRAWS, segment_type_draw
 
 GOLDEN = Path(__file__).parent / "golden"
-EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 
 GOLDEN_ARGV = {
     "ext_triv3_st2": ["ext", "triv(3)", "st(2)"],
@@ -81,6 +82,38 @@ def test_csupp_golden_output(capsys, name):
     code, out, _ = run(capsys, CSUPP_GOLDEN_ARGV[name])
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
     assert code == 0
+
+
+def readme_examples():
+    """The ``$ spehcalc ...`` lines of the README's CLI section, each with
+    the lines shown under it up to the next blank line or fence."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples, shown = [], None
+    for line in section.splitlines():
+        if line.startswith("$ spehcalc "):
+            shown = []
+            examples.append((line[2:], shown))
+        elif not line or line.startswith("```"):
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("command, shown", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_cli_example(capsys, command, shown):
+    """Each CLI example in the README prints the lines shown under it and,
+    where it echoes ``exit $?``, exits with the code shown last."""
+    command, echo, _ = command.partition('; echo "exit $?"')
+    code, out, _ = run(capsys, shlex.split(command)[1:])
+    if echo:
+        *shown, exit_line = shown
+        assert exit_line == f"exit {code}"
+    assert out.splitlines() == shown
 
 
 @pytest.mark.parametrize("case", PARSE_ERRORS, ids=[c["name"] for c in PARSE_ERRORS])
@@ -297,7 +330,8 @@ def test_import_leaves_json_and_fractions_unloaded():
     )
     env = {**os.environ, "PYTHONPATH": src}
     # -S: no site hooks, which may import modules of their own
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, encoding="utf-8",
+                          check=True)
     unloaded, loaded = proc.stdout.splitlines()
     assert unloaded == "[]"
     modules = ("branching", "cli", "core", "dsl", "relevance", "segments", "sl2")
@@ -322,7 +356,7 @@ class TestHugeSegments:
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         env = {**os.environ, "PYTHONPATH": str(Path(spehcalc.__file__).resolve().parents[1])}
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, encoding="utf-8",
                               timeout=60, preexec_fn=cap)
 
     @pytest.mark.parametrize("pair, code, out", [(TRUE, 0, "Ext != 0\n"), (FALSE, 1, "Ext = 0\n")])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,31 @@ def test_certificate_searches_are_linear_in_types(monkeypatch):
     monkeypatch.setattr(relevance, "_residual_path", lambda *args: calls.append(1) or search(*args))
     first = find_matching(a1, a2, STRONG_FAMILIES)
     first.validate(a1, a2)
+    assert 0 < len(calls) <= edges + len(lefts)
+
+
+def test_enumeration_steps_down_on_the_live_flow(monkeypatch):
+    """Listing the one Arthur-step matching of a dense one-line pair (1056
+    left terms of 472 types, 1034 right terms) tries to step each option
+    edge down once on the flow of the first matching: a number of path
+    searches linear in option edges and left types (991 against a bound
+    of 1300), and memory that does not grow with edges times arcs, as a
+    copy of the flow at each edge would (23 MiB at the peak)."""
+    a1, a2 = random_related_pair(random.Random(8984), GGP_FAMILIES, 1280, 24, SYMBOLS[:1])
+    rights = set(a2.terms)
+    lefts = set(a1.terms)
+    edges = sum((t.b == 1) + sum(f.partner(t) in rights for f in GGP_FAMILIES) for t in lefts)
+    calls = []
+    search = relevance._residual_path
+    monkeypatch.setattr(relevance, "_residual_path", lambda *args: calls.append(1) or search(*args))
+    tracemalloc.start()
+    try:
+        matchings = enumerate_matchings(a1, a2, GGP_FAMILIES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(matchings) == 1
+    assert peak < 4 * 2**20
     assert 0 < len(calls) <= edges + len(lefts)
 
 
