@@ -9,8 +9,8 @@ point anywhere.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import attrgetter
+from itertools import accumulate, compress
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -223,32 +223,77 @@ class TwistedCuspidal(_Value):
         return TwistedCuspidal(self.symbol, self.exponent + by)
 
 
-class CuspidalMultiset(_Record):
-    """A multiset of twisted cuspidals, stored as canonical runs.
+class _ByLines(_Record):
+    """A record that is equal and hashes by a hidden ``_lines``: one
+    ``(symbol, doubled exponents, multiplicities)`` triple per cuspidal
+    symbol, in canonical order, the exponents strictly increasing and
+    the multiplicities positive ints.
+
+    Like ``_Value``'s key, ``_lines`` is no field: it is not in the
+    subclass's ``__slots__``, ``__match_args__`` or ``repr``.  Comparing
+    or hashing two values reads only ints and symbols.
+    """
+
+    __slots__ = ("_lines",)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._lines == other._lines
+
+    def __hash__(self) -> int:
+        return hash(self._lines)
+
+
+_set_lines = _ByLines._lines.__set__
+_LineTriple = tuple[CuspidalSymbol, tuple[int, ...], tuple[int, ...]]
+
+
+class CuspidalMultiset(_ByLines):
+    """A multiset of twisted cuspidals, stored per cuspidal symbol.
 
     ``runs`` holds one (twist, multiplicity) pair per distinct twist, with
     positive multiplicities, in the canonical order (symbol id, degree,
-    exponent), so equal multisets always serialize byte-identically.
-    ``entries`` and iteration expand the runs to the sorted twist
+    exponent), so equal multisets always serialize byte-identically.  The
+    value itself keeps only the integer exponents and multiplicities of
+    each symbol's runs; ``runs`` builds the twists from them on first
+    read.  ``entries`` and iteration expand the runs to the sorted twist
     sequence.
     """
 
     __slots__ = ("runs",)
 
     def __init__(self, entries: Iterable[TwistedCuspidal] = ()) -> None:
-        (set_runs,) = self._setters
-        set_runs(self, _canonical_runs((t, 1) for t in entries))
+        _set_lines(self, _canonical_lines((t.symbol, t.exponent.doubled, 1) for t in entries))
 
     @classmethod
-    def _of(cls, runs: tuple[tuple[TwistedCuspidal, int], ...]) -> CuspidalMultiset:
-        """Wrap runs that are already canonical."""
+    def _of(cls, runs: Iterable[tuple[TwistedCuspidal, int]]) -> CuspidalMultiset:
+        """The multiset with these (twist, multiplicity) runs."""
+        return cls._from_lines(_canonical_lines((t.symbol, t.exponent.doubled, m) for t, m in runs))
+
+    @classmethod
+    def _from_lines(cls, lines: tuple[_LineTriple, ...]) -> CuspidalMultiset:
+        """Wrap lines that are already canonical."""
         multiset = object.__new__(cls)
-        (set_runs,) = cls._setters
-        set_runs(multiset, runs)
+        _set_lines(multiset, lines)
         return multiset
 
+    def __getattr__(self, name: str) -> object:
+        # Called only for an attribute not found: ``runs`` before its
+        # first read, built here once.
+        if name != "runs":
+            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
+        runs = tuple(
+            (TwistedCuspidal(symbol, HalfInt(e)), m)
+            for symbol, exponents, mults in self._lines
+            for e, m in zip(exponents, mults)
+        )
+        (set_runs,) = self._setters
+        set_runs(self, runs)
+        return runs
+
     def __reduce__(self) -> tuple:
-        return self._of, (self.runs,)
+        return self._from_lines, (self._lines,)
 
     @property
     def entries(self) -> tuple[TwistedCuspidal, ...]:
@@ -260,22 +305,34 @@ class CuspidalMultiset(_Record):
                 yield t
 
     def __len__(self) -> int:
-        return sum(m for _, m in self.runs)
+        return sum(sum(mults) for _, _, mults in self._lines)
 
     def union(self, *others: CuspidalMultiset) -> CuspidalMultiset:
-        return CuspidalMultiset._of(_canonical_runs(r for o in (self, *others) for r in o.runs))
+        return CuspidalMultiset._from_lines(_canonical_lines(
+            (symbol, e, m)
+            for o in (self, *others)
+            for symbol, exponents, mults in o._lines
+            for e, m in zip(exponents, mults)
+        ))
 
     @property
     def total_degree(self) -> int:
-        return sum(t.symbol.degree * m for t, m in self.runs)
+        return sum(symbol.degree * sum(mults) for symbol, _, mults in self._lines)
 
 
-def _canonical_runs(pairs: Iterable[tuple[TwistedCuspidal, int]]) -> tuple[tuple[TwistedCuspidal, int], ...]:
-    """Add up the multiplicities of equal twists and sort canonically."""
-    counts: dict[TwistedCuspidal, int] = {}
-    for t, m in pairs:
-        counts[t] = counts.get(t, 0) + m
-    return tuple(sorted(counts.items(), key=lambda r: r[0].sort_key))
+def _canonical_lines(triples: Iterable[tuple[CuspidalSymbol, int, int]]) -> tuple[_LineTriple, ...]:
+    """Add up the multiplicities of equal (symbol, doubled exponent)
+    pairs and sort them into canonical lines."""
+    counts: dict[CuspidalSymbol, dict[int, int]] = {}
+    for symbol, e, m in triples:
+        line = counts.get(symbol)
+        if line is None:
+            line = counts[symbol] = {}
+        line[e] = line.get(e, 0) + m
+    return tuple(
+        (symbol, *zip(*sorted(counts[symbol].items())))
+        for symbol in sorted(counts, key=_by_sort_key)
+    )
 
 
 class SpehDatum(_Value):
@@ -360,13 +417,14 @@ def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     four ``_corners``.  The corners of all terms on one cuspidal line go
     into one array indexed by the doubled exponent; two prefix sums with
     stride 2 (one per parity) give the multiplicities, in
-    O(terms + span).
+    O(terms + span).  The support keeps each line's nonzero counts and
+    their exponents as ints; no twist is built.
     """
-    lines: dict[CuspidalSymbol, list[SpehDatum]] = {}
+    by_rho: dict[CuspidalSymbol, list[SpehDatum]] = {}
     for s in param:  # canonical term order, so the symbols come out sorted
-        lines.setdefault(s.rho, []).append(s)
-    runs = []
-    for rho, terms in lines.items():
+        by_rho.setdefault(s.rho, []).append(s)
+    lines = []
+    for rho, terms in by_rho.items():
         top = max(s.a + s.b for s in terms) - 2  # largest doubled exponent
         count = [0] * (2 * top + 5)  # index = doubled exponent + top
         for s in terms:
@@ -374,8 +432,9 @@ def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
                 count[exponent + top] += step
         for parity in (0, 1):
             count[parity::2] = accumulate(accumulate(count[parity::2]))
-        runs += [(TwistedCuspidal(rho, HalfInt(i - top)), m) for i, m in enumerate(count) if m]
-    return CuspidalMultiset._of(tuple(runs))
+        exponents = tuple(compress(range(-top, len(count) - top), count))
+        lines.append((rho, exponents, tuple(filter(None, count))))
+    return CuspidalMultiset._from_lines(tuple(lines))
 
 
 def _support_corners(param: ArthurParameter) -> dict[tuple[str, int, int], int]:
@@ -398,8 +457,14 @@ def _support_corners(param: ArthurParameter) -> dict[tuple[str, int, int], int]:
 
 
 def in_cuspidal_lines(t: TwistedCuspidal, support: CuspidalMultiset) -> bool:
-    """True when t lies in the cuspidal line of some element of support."""
-    return any(t.same_line(u) for u, _ in support.runs)
+    """True when t lies in the cuspidal line of some element of support:
+    support holds a twist of t's symbol whose doubled exponent has the
+    parity of t's."""
+    parity = t.exponent.doubled % 2
+    for symbol, exponents, _ in support._lines:
+        if symbol == t.symbol:
+            return any(e % 2 == parity for e in exponents)
+    return False
 
 
 def central_exponent(support: CuspidalMultiset, total_degree: int | None = None) -> Fraction:
@@ -410,7 +475,7 @@ def central_exponent(support: CuspidalMultiset, total_degree: int | None = None)
     the segment midpoint.  ``total_degree``, when given, must agree with
     the degree carried by the support.
     """
-    if not support.runs:
+    if not support._lines:
         raise ValueError("undefined central exponent: empty cuspidal support")
     degree = support.total_degree
     if total_degree is not None and total_degree != degree:
@@ -419,5 +484,7 @@ def central_exponent(support: CuspidalMultiset, total_degree: int | None = None)
         )
     from fractions import Fraction
 
-    weighted = sum(t.exponent.doubled * t.symbol.degree * m for t, m in support.runs)
+    weighted = sum(
+        symbol.degree * sum(map(mul, exponents, mults)) for symbol, exponents, mults in support._lines
+    )
     return Fraction(weighted, 2 * degree)

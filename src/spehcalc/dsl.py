@@ -409,17 +409,26 @@ def format_param(param: ArthurParameter) -> str:
     return " + ".join(format_term(s) for s in param)
 
 
+def _format_twist(doubled: int, symbol_text: str) -> str:
+    if doubled == 0:
+        return symbol_text
+    if doubled % 2 == 0:
+        return f"nu^{doubled // 2} {symbol_text}"
+    return f"nu^({doubled}/2) {symbol_text}"
+
+
 def format_twisted(t: TwistedCuspidal) -> str:
-    if t.exponent.doubled == 0:
-        return format_symbol(t.symbol)
-    if t.exponent.is_integer:
-        return f"nu^{t.exponent.doubled // 2} {format_symbol(t.symbol)}"
-    return f"nu^({t.exponent.doubled}/2) {format_symbol(t.symbol)}"
+    return _format_twist(t.exponent.doubled, format_symbol(t.symbol))
 
 
 def format_support(support: CuspidalMultiset) -> str:
-    """The sorted twist list; each run is formatted once and repeated."""
-    return "{" + ", ".join(", ".join([format_twisted(t)] * m) for t, m in support.runs) + "}"
+    """The sorted twist list, read from the support's lines: each symbol
+    is formatted once a line and each run once, then repeated."""
+    parts = []
+    for symbol, exponents, mults in support._lines:
+        symbol_text = format_symbol(symbol)
+        parts += [(_format_twist(e, symbol_text) + ", ") * m for e, m in zip(exponents, mults)]
+    return "{" + "".join(parts)[:-2] + "}"
 
 
 def format_segment(segment: Segment) -> str:

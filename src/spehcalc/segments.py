@@ -11,7 +11,6 @@ from .core import (
     CuspidalSymbol,
     HalfInt,
     SpehDatum,
-    TwistedCuspidal,
     _Record,
     half_range,
 )
@@ -175,8 +174,10 @@ def segment_rep_of_speh(s: SpehDatum) -> Optional[SegmentRep]:
 
 
 def csupp_segment(seg: Segment) -> CuspidalMultiset:
-    """Cuspidal support of Z/Q of a segment: one twist per exponent."""
-    return CuspidalMultiset(tuple(TwistedCuspidal(seg.rho, e) for e in seg.exponents()))
+    """Cuspidal support of Z/Q of a segment: one twist per exponent, all
+    on the one line of its cuspidal."""
+    exponents = range(seg.a.doubled, seg.b.doubled + 1, 2)
+    return CuspidalMultiset._from_lines(((seg.rho, tuple(exponents), (1,) * len(exponents)),))
 
 
 def jacquet(kind: str, side: str, seg: Segment, l: int) -> JacquetResult:

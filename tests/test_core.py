@@ -7,6 +7,7 @@ import dataclasses
 import pickle
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,13 +24,14 @@ from spehcalc import (
     central_exponent,
     clebsch_gordan,
     csupp_param,
+    csupp_segment,
     csupp_speh,
     diagonal_restriction,
     in_cuspidal_lines,
     same_cuspidal_support,
 )
 from spehcalc.branching import BranchingVerdict, same_group_ext_segment_type
-from spehcalc.dsl import SourceSpan, format_support, format_twisted
+from spehcalc.dsl import SourceSpan, format_support, format_twisted, parse_support
 from spehcalc.relevance import MatchedPair, Matching, MoveFamily
 from spehcalc.segments import JacquetResult, Segment, SegmentRep
 from spehcalc.sl2 import DiagonalRestriction
@@ -294,6 +296,177 @@ class TestLargeSupports:
         for left, right, expected in cases:
             assert same_cuspidal_support(left, right) == expected
             assert same_group_ext_segment_type(left, right) == expected
+
+
+def speh_twists(s: SpehDatum) -> list[TwistedCuspidal]:
+    """The a-by-b rectangle of u_rho(a, b)'s twists, one by one."""
+    return [
+        TwistedCuspidal(s.rho, HalfInt(i2 + j2))
+        for j2 in range(-(s.b - 1), s.b, 2)
+        for i2 in range(-(s.a - 1), s.a, 2)
+    ]
+
+
+def runs_built(support: CuspidalMultiset) -> bool:
+    """True once support's ``runs`` has been read (the plain attribute
+    lookup, which does not build them)."""
+    try:
+        object.__getattribute__(support, "runs")
+    except AttributeError:
+        return False
+    return True
+
+
+def small_params():
+    term = st.builds(SpehDatum, st.sampled_from(LARGE_SYMBOLS), st.integers(1, 12), st.integers(1, 12))
+    return st.lists(term, max_size=4).map(lambda ts: ArthurParameter(tuple(ts)))
+
+
+def uncentered_segments():
+    """Segments of length 1 to 8 starting anywhere in [-6, 6], by steps
+    of 1/2, over the four symbols."""
+    return st.builds(
+        lambda rho, lo, length: Segment(rho, HalfInt(lo), HalfInt(lo + 2 * (length - 1))),
+        st.sampled_from(LARGE_SYMBOLS), st.integers(-12, 12), st.integers(1, 8),
+    )
+
+
+class TestSupportLines:
+    @settings(max_examples=40, deadline=None)
+    @given(small_params(), st.lists(uncentered_segments(), min_size=1, max_size=4),
+           st.randoms(use_true_random=False))
+    def test_every_construction_gives_one_value(self, param, segments, rng):
+        """Supports built every way from the same twists are the same
+        value: equal, with equal hashes, reprs and runs, and with the
+        summaries of the twists one by one."""
+        expanded = [t for s in param for t in speh_twists(s)]
+        expanded += [TwistedCuspidal(seg.rho, e) for seg in segments for e in seg.exponents()]
+        expanded.sort(key=lambda t: t.sort_key)
+        shuffled = list(expanded)
+        rng.shuffle(shuffled)
+        segment_supports = [csupp_segment(seg) for seg in segments]
+
+        def built():
+            return csupp_param(param).union(*segment_supports)
+
+        first = built()
+        values = [
+            first,
+            segment_supports[0].union(*(csupp_speh(s) for s in param), *segment_supports[1:]),
+            CuspidalMultiset(shuffled),
+            CuspidalMultiset(entries=iter(shuffled)),
+            CuspidalMultiset._of(built().runs),
+            parse_support(format_support(built())),
+        ]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            values.append(pickle.loads(pickle.dumps(built(), protocol)))
+        values += [copy.copy(built()), copy.deepcopy(built())]
+        for value in values:
+            assert_summaries_match(value, expanded)
+            assert value == first and first == value and hash(value) == hash(first)
+        text = repr(CuspidalMultiset(expanded))
+        for value in values:
+            assert repr(value) == text
+            assert value.runs == first.runs
+            assert list(value) == expanded
+
+    @pytest.mark.parametrize("param", [
+        ArthurParameter(),
+        ArthurParameter((SpehDatum(RHO, 3, 4), SpehDatum(SIGMA, 2, 1), SpehDatum(CuspidalSymbol("tau", 2), 5, 2))),
+        ArthurParameter((SpehDatum(RHO, 1, 3), SpehDatum(RHO, 2, 2), SpehDatum(CuspidalSymbol("rho", 3), 4, 1))),
+    ])
+    def test_unread_runs_behave_as_built_from_entries(self, param):
+        """A support whose runs were never read compares, hashes,
+        pickles, copies and prints as the one built from its twists, and
+        only printing it builds the runs."""
+        eager = CuspidalMultiset([t for s in param for t in speh_twists(s)])
+        assert eager.runs is not None and runs_built(eager)
+        support = csupp_param(param)
+        assert not runs_built(support)
+        assert support == eager and eager == support and not support != eager
+        assert hash(support) == hash(eager) and {eager: 1}[support] == 1
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(support, protocol) == pickle.dumps(eager, protocol)
+            loaded = pickle.loads(pickle.dumps(support, protocol))
+            assert loaded == eager and hash(loaded) == hash(eager) and not runs_built(loaded)
+        for copied in (copy.copy(support), copy.deepcopy(support)):
+            assert copied == eager and hash(copied) == hash(eager) and not runs_built(copied)
+        assert not runs_built(support)
+        assert repr(support) == repr(eager)
+        assert runs_built(support) and support.runs == eager.runs
+
+    def test_unread_runs_refuse_assignment(self):
+        support = csupp_param(ArthurParameter((SpehDatum(RHO, 2, 3),)))
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'runs'$"):
+            support.runs = ()
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'runs'$"):
+            del support.runs
+        with pytest.raises(AttributeError, match="object has no attribute 'not_a_field'"):
+            support.not_a_field
+        assert not runs_built(support)
+        assert support.runs == csupp_speh(SpehDatum(RHO, 2, 3)).runs
+
+    def test_summaries_build_no_twist(self, monkeypatch):
+        """csupp_param, len, total_degree, central_exponent,
+        format_support and in_cuspidal_lines answer without a single
+        HalfInt or TwistedCuspidal.  Parameters over three of four lines
+        (rho, sigma, tau of degree 2, rho of degree 3), terms with a·b up
+        to 10^4: two lines carry both exponent parities, the third one
+        term of one parity; the answers are checked against the twists
+        counted one by one as plain ints."""
+        rng = random.Random(15)
+        symbols = (RHO, SIGMA, CuspidalSymbol("tau", 2), CuspidalSymbol("rho", 3))
+
+        def term(rho, parity):
+            a = rng.randint(1, 100)
+            b = rng.randint(1, 10**4 // a)
+            if (a + b) % 2 != parity:
+                b = b + 1 if a * (b + 1) <= 10**4 else b - 1
+            return SpehDatum(rho, a, b)
+
+        cases = []
+        for _ in range(6):
+            first, second, third = rng.sample(symbols, 3)
+            param = ArthurParameter((
+                term(first, 0), term(first, 1), term(second, 1), term(second, 0), term(third, rng.randrange(2)),
+            ))
+            counts = Counter()
+            for s in param:
+                for j2 in range(-(s.b - 1), s.b, 2):
+                    for i2 in range(-(s.a - 1), s.a, 2):
+                        counts[s.rho.id, s.rho.degree, i2 + j2] += 1
+            text = "{" + ", ".join(
+                format_twisted(TwistedCuspidal(CuspidalSymbol(rho_id, degree), HalfInt(e)))
+                for (rho_id, degree, e), m in sorted(counts.items())
+                for _ in range(m)
+            ) + "}"
+            weighted = sum(e * n * m for (_, n, e), m in counts.items())
+            degree = sum(n * m for (_, n, _), m in counts.items())
+            classes = {(rho_id, n, e % 2) for rho_id, n, e in counts}
+            queries = [
+                (TwistedCuspidal(rho, HalfInt(d)), (rho.id, rho.degree, d % 2) in classes)
+                for rho in symbols
+                for d in (-7, 0, 3, 10)
+            ]
+            # true on some line, false off the lines, false on the third
+            # line's missing parity
+            assert [answer for t, answer in queries if t.symbol == third].count(False) == 2
+            assert {answer for _, answer in queries} == {True, False}
+            cases.append((param, sum(counts.values()), degree, Fraction(weighted, 2 * degree), text, queries))
+
+        def refuse(*args):
+            raise AssertionError("a twist was built")
+
+        monkeypatch.setattr("spehcalc.core.HalfInt", refuse)
+        monkeypatch.setattr("spehcalc.core.TwistedCuspidal", refuse)
+        for param, count, degree, central, text, queries in cases:
+            support = csupp_param(param)
+            assert (len(support), support.total_degree) == (count, degree)
+            assert central_exponent(support, degree) == central == 0
+            assert format_support(support) == text
+            for t, answer in queries:
+                assert in_cuspidal_lines(t, support) == answer
+            assert not runs_built(support)
 
 
 # The value-type contract: the behaviour every caller may rely on, whatever
