@@ -47,10 +47,11 @@ def _require_restriction_pair(a1: ArthurParameter, a2: ArthurParameter) -> None:
         raise HypothesisError(f"not a (n, n-1) pair: dimensions {a1.dim} and {a2.dim}")
 
 
-def _require_segment_type(param: ArthurParameter) -> None:
-    for s in param:
-        if not s.is_segment_type:
-            raise HypothesisError(f"term {format_term(s)} is not of segment type")
+def _require_segment_type(*params: ArthurParameter) -> None:
+    for param in params:
+        for s in param:
+            if not s.is_segment_type:
+                raise HypothesisError(f"term {format_term(s)} is not of segment type")
 
 
 def hom_branch_arthur(a1: ArthurParameter, a2: ArthurParameter) -> BranchingVerdict:
@@ -70,8 +71,7 @@ def ext_branch_segment_type(a1: ArthurParameter, a2: ArthurParameter) -> Branchi
     criterion genuinely fails beyond it, so no boolean is offered there.
     """
     _require_restriction_pair(a1, a2)
-    _require_segment_type(a1)
-    _require_segment_type(a2)
+    _require_segment_type(a1, a2)
     certificate = find_matching(a1, a2, STRONG_FAMILIES)
     return BranchingVerdict(certificate is not None, certificate, MATCHER)
 
@@ -91,8 +91,7 @@ def ext_branch_recursive(a1: ArthurParameter, a2: ArthurParameter) -> bool:
     t terms, whatever the sizes of a and b.
     """
     _require_restriction_pair(a1, a2)
-    _require_segment_type(a1)
-    _require_segment_type(a2)
+    _require_segment_type(a1, a2)
     counts: dict = {}
     for side, param in enumerate((a1, a2)):
         for s in param:
@@ -117,8 +116,7 @@ def same_group_ext_segment_type(a1: ArthurParameter, a2: ArthurParameter) -> boo
     supports (equivalently the diagonal SL2 restrictions) agree."""
     if a1.dim != a2.dim:
         raise HypothesisError(f"not a same-group pair: dimensions {a1.dim} and {a2.dim}")
-    _require_segment_type(a1)
-    _require_segment_type(a2)
+    _require_segment_type(a1, a2)
     return same_cuspidal_support(a1, a2)
 
 

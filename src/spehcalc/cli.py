@@ -78,16 +78,16 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
         os.close(devnull)
 
 
-def _matching_lines(matching: Matching, indent: str = "  ") -> list[str]:
+def _matching_lines(matching: Matching) -> list[str]:
     lines = []
     for p in matching.pairs:
-        lines.append(f"{indent}{p.family.value}: {format_term(p.left)} -> {format_term(p.right)}")
+        lines.append(f"  {p.family.value}: {format_term(p.left)} -> {format_term(p.right)}")
     if matching.dropped_left:
         dropped = ", ".join(format_term(s) for s in matching.dropped_left)
-        lines.append(f"{indent}dropped left: {dropped}")
+        lines.append(f"  dropped left: {dropped}")
     if matching.dropped_right:
         dropped = ", ".join(format_term(s) for s in matching.dropped_right)
-        lines.append(f"{indent}dropped right: {dropped}")
+        lines.append(f"  dropped right: {dropped}")
     return lines
 
 
@@ -122,7 +122,7 @@ def _cmd_minus(args: argparse.Namespace) -> int:
             kept.append(reduced)
     result = ArthurParameter(tuple(kept))
     canonical = format_param(result)
-    dropped = [format_term(s) for s in sorted(dropped, key=lambda s: s.sort_key)]
+    dropped = [format_term(s) for s in dropped]  # params iterate in canonical order
     lines = [canonical, f"dim {result.dim}"]
     if dropped:
         lines.append("dropped: " + ", ".join(dropped))

@@ -9,6 +9,7 @@ point anywhere.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from itertools import accumulate, compress
 from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -102,6 +103,7 @@ _set_hash = _Value._hash.__set__
 _by_sort_key = attrgetter("sort_key")
 
 
+@total_ordering
 class HalfInt(_Value):
     """An element of (1/2)Z, stored as twice its value.
 
@@ -134,21 +136,6 @@ class HalfInt(_Value):
         if other.__class__ is not HalfInt:
             return NotImplemented
         return self.doubled < other.doubled
-
-    def __le__(self, other: HalfInt) -> bool:
-        if other.__class__ is not HalfInt:
-            return NotImplemented
-        return self.doubled <= other.doubled
-
-    def __gt__(self, other: HalfInt) -> bool:
-        if other.__class__ is not HalfInt:
-            return NotImplemented
-        return self.doubled > other.doubled
-
-    def __ge__(self, other: HalfInt) -> bool:
-        if other.__class__ is not HalfInt:
-            return NotImplemented
-        return self.doubled >= other.doubled
 
     def __add__(self, other: HalfInt | int) -> HalfInt:
         if isinstance(other, int):
@@ -198,9 +185,6 @@ class CuspidalSymbol(_Value):
         set_id(self, id)
         set_degree(self, degree)
         self._freeze((id, degree))
-
-    def twist(self, exponent: HalfInt) -> TwistedCuspidal:
-        return TwistedCuspidal(self, exponent)
 
 
 class TwistedCuspidal(_Value):
@@ -413,47 +397,42 @@ _STEPS = (1, -1, -1, 1)
 def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     """Cuspidal support of a parameter: multiset union over its terms.
 
-    Each term's trapezoid has second difference +1, -1, -1, +1 at its
-    four ``_corners``.  The corners of all terms on one cuspidal line go
-    into one array indexed by the doubled exponent; two prefix sums with
-    stride 2 (one per parity) give the multiplicities, in
-    O(terms + span).  The support keeps each line's nonzero counts and
-    their exponents as ints; no twist is built.
+    Read off the corner table of ``_support_corners``: on each cuspidal
+    line, two prefix sums with stride 2 (one per parity) over the doubled
+    exponents from the lowest corner to the highest give the
+    multiplicities, in O(terms + span).  The support keeps each line's
+    nonzero counts and their exponents as ints; no twist is built.
     """
-    by_rho: dict[CuspidalSymbol, list[SpehDatum]] = {}
-    for s in param:  # canonical term order, so the symbols come out sorted
-        by_rho.setdefault(s.rho, []).append(s)
     lines = []
-    for rho, terms in by_rho.items():
-        top = max(s.a + s.b for s in terms) - 2  # largest doubled exponent
-        count = [0] * (2 * top + 5)  # index = doubled exponent + top
-        for s in terms:
-            for exponent, step in zip(_corners(s.a, s.b), _STEPS):
-                count[exponent + top] += step
+    for rho, corners in _support_corners(param).items():
+        low = min(corners)
+        count = [0] * (max(corners) - low + 1)  # index = doubled exponent - low
+        for exponent, total in corners.items():
+            count[exponent - low] = total
         for parity in (0, 1):
             count[parity::2] = accumulate(accumulate(count[parity::2]))
-        exponents = tuple(compress(range(-top, len(count) - top), count))
+        exponents = tuple(compress(range(low, low + len(count)), count))
         lines.append((rho, exponents, tuple(filter(None, count))))
     return CuspidalMultiset._from_lines(tuple(lines))
 
 
-def _support_corners(param: ArthurParameter) -> dict[tuple[str, int, int], int]:
-    """The second difference of param's cuspidal support: the nonzero
-    sums of its terms' ``_corners``, keyed by (symbol id, degree, doubled
-    exponent).
+def _support_corners(param: ArthurParameter) -> dict[CuspidalSymbol, dict[int, int]]:
+    """The corner table of param's cuspidal support: per cuspidal symbol,
+    in canonical order, the nonzero sums of its terms' ``_corners``,
+    keyed by doubled exponent.
 
-    On each cuspidal line and parity class the support's multiplicities
-    are the double prefix sum of these values, so two parameters have
-    the same support exactly when they have equal corner sums.  Built in
-    O(terms), whatever the dimensions; no twist is built.
+    This is the second difference of the support's multiplicities: on
+    each cuspidal line and parity class they are its double prefix sum,
+    so two parameters have the same support exactly when they have equal
+    tables.  Built in O(terms), whatever the dimensions; no twist is
+    built.
     """
-    sums: dict[tuple[str, int, int], int] = {}
-    for s in param:
-        rho_id, degree = s.rho.sort_key
+    table: dict[CuspidalSymbol, dict[int, int]] = {}
+    for s in param:  # canonical term order, so the symbols come out sorted
+        line = table.setdefault(s.rho, {})
         for exponent, step in zip(_corners(s.a, s.b), _STEPS):
-            key = (rho_id, degree, exponent)
-            sums[key] = sums.get(key, 0) + step
-    return {key: total for key, total in sums.items() if total}
+            line[exponent] = line.get(exponent, 0) + step
+    return {rho: {e: total for e, total in line.items() if total} for rho, line in table.items()}
 
 
 def in_cuspidal_lines(t: TwistedCuspidal, support: CuspidalMultiset) -> bool:

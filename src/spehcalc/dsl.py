@@ -186,16 +186,18 @@ class _Parser:
             )
         return value
 
+    def parse_denominator(self, rule: str) -> None:
+        """Consume a half-integer's denominator, which must be 2."""
+        denom, tok = self.parse_int(rule)
+        if denom != 2:
+            raise ParseError(
+                f"{rule}: denominator must be the literal 2", _span(tok), frozenset({"'2'"})
+            )
+
     def parse_half(self) -> HalfInt:
         value, _ = self.parse_int("half-integer")
         if self.accept("/"):
-            denom, denom_tok = self.parse_int("half-integer")
-            if denom != 2:
-                raise ParseError(
-                    "half-integer: denominator must be the literal 2",
-                    _span(denom_tok),
-                    frozenset({"'2'"}),
-                )
+            self.parse_denominator("half-integer")
             return HalfInt(value)
         return HalfInt.of(value)
 
@@ -317,13 +319,7 @@ class _Parser:
             elif self.accept("("):
                 numer, _ = self.parse_int("twist exponent")
                 self.expect_punct("/", "twist exponent")
-                denom, denom_tok = self.parse_int("twist exponent")
-                if denom != 2:
-                    raise ParseError(
-                        "twist exponent: denominator must be the literal 2",
-                        _span(denom_tok),
-                        frozenset({"'2'"}),
-                    )
+                self.parse_denominator("twist exponent")
                 self.expect_punct(")", "twist exponent")
                 exponent = HalfInt(numer)
             else:

@@ -466,13 +466,10 @@ def same_cuspidal_support(a1: ArthurParameter, a2: ArthurParameter) -> bool:
 
     Both readings are computed on every call and must agree.  The
     restriction costs O(sum of min(a, b)).  The support is compared by
-    its trapezoid corners (``core._support_corners``): each term adds
-    +1, -1, -1, +1 to the second difference of the support's
-    multiplicities, and on each cuspidal line and parity class the
-    multiplicities are the double prefix sum of that finitely supported
-    second difference, so equal corner sums mean equal supports and
-    conversely.  That costs O(terms), whatever a and b are, and builds
-    no twist."""
+    its corner table (``core._support_corners``), the table that
+    ``csupp_param`` sums into multiplicities: equal tables mean equal
+    supports and conversely.  That costs O(terms), whatever a and b
+    are, and builds no twist."""
     by_restriction = diagonal_restriction(a1) == diagonal_restriction(a2)
     by_support = _support_corners(a1) == _support_corners(a2)
     if by_restriction != by_support:

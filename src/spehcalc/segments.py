@@ -90,10 +90,6 @@ class SegmentRep(_Record):
     def degree(self) -> int:
         return self.segment.degree
 
-    @property
-    def is_unitary(self) -> bool:
-        return self.segment.is_centered
-
 
 class JacquetResult(_Record):
     """Either zero, or a pair (omega1, omega2) of segment representations
@@ -157,22 +153,6 @@ def speh_from_segment_rep(rep: SegmentRep) -> SpehDatum:
     return SpehDatum(rep.segment.rho, length, 1)
 
 
-def segment_rep_of_speh(s: SpehDatum) -> Optional[SegmentRep]:
-    """The Z/Q form of a segment-type Speh datum, or None when both SL2
-    dimensions exceed 1.  Prefers the Q form for the cuspidal case."""
-    if s.b == 1:
-        length = s.a
-        kind = Q
-    elif s.a == 1:
-        length = s.b
-        kind = Z
-    else:
-        return None
-    lo = HalfInt(-(length - 1))
-    hi = HalfInt(length - 1)
-    return SegmentRep(kind, Segment(s.rho, lo, hi))
-
-
 def csupp_segment(seg: Segment) -> CuspidalMultiset:
     """Cuspidal support of Z/Q of a segment: one twist per exponent, all
     on the one line of its cuspidal."""
@@ -200,15 +180,12 @@ def jacquet(kind: str, side: str, seg: Segment, l: int) -> JacquetResult:
         return JacquetResult.zero()
     p = l // m
     a, b = seg.a, seg.b
-    upper = Segment(seg.rho, a + p, b)   # top p-deep cut: [a+p, b]
-    lower = Segment(seg.rho, a, a + (p - 1))
-    head = Segment(seg.rho, a, b - p)    # bottom p-deep cut: [a, b-p]
-    tail = Segment(seg.rho, b - (p - 1), b)
     if (kind, side) in ((Q, STANDARD), (Z, OPPOSITE)):
-        first, second = upper, lower
+        bounds = ((a + p, b), (a, a + (p - 1)))  # top p-deep cut: [a+p, b] first
     else:  # (Q, opposite) and (Z, standard)
-        first, second = head, tail
-    return JacquetResult.of(SegmentRep(kind, first), SegmentRep(kind, second))
+        bounds = ((a, b - p), (b - (p - 1), b))  # bottom p-deep cut: [a, b-p] first
+    first, second = (SegmentRep(kind, Segment(seg.rho, lo, hi)) for lo, hi in bounds)
+    return JacquetResult.of(first, second)
 
 
 def is_generic_param(param: ArthurParameter) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import operator
 import pickle
 import random
 import re
@@ -639,3 +640,10 @@ class TestValueContract:
     def test_half_int_does_not_order_against_int(self):
         with pytest.raises(TypeError):
             HalfInt(1) < 2
+
+    @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+    @pytest.mark.parametrize("other", [2, RHO], ids=["int", "symbol"])
+    def test_half_int_orders_against_no_other_type(self, compare, other):
+        for left, right in ((HalfInt(1), other), (other, HalfInt(1))):
+            with pytest.raises(TypeError):
+                compare(left, right)
