@@ -10,7 +10,7 @@ point anywhere.
 from __future__ import annotations
 
 from functools import total_ordering
-from itertools import accumulate, compress
+from itertools import accumulate, compress, groupby
 from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -209,16 +209,37 @@ class TwistedCuspidal(_Value):
 
 class _ByLines(_Record):
     """A record that is equal and hashes by a hidden ``_lines``: one
-    ``(symbol, doubled exponents, multiplicities)`` triple per cuspidal
-    symbol, in canonical order, the exponents strictly increasing and
-    the multiplicities positive ints.
+    ``(symbol, keys, sums)`` triple per cuspidal symbol, in canonical
+    order, the int keys strictly increasing and the int sums nonzero.
 
     Like ``_Value``'s key, ``_lines`` is no field: it is not in the
     subclass's ``__slots__``, ``__match_args__`` or ``repr``.  Comparing
-    or hashing two values reads only ints and symbols.
+    or hashing two values reads only ints and symbols.  The subclass's
+    one field is built from ``_lines`` by its ``_expand`` on its first
+    read and kept; pickle and copy carry ``_lines`` alone.
     """
 
     __slots__ = ("_lines",)
+
+    @classmethod
+    def _from_lines(cls, lines: tuple[_LineTriple, ...]) -> _ByLines:
+        """Wrap lines that are already canonical."""
+        value = object.__new__(cls)
+        _set_lines(value, lines)
+        return value
+
+    def __getattr__(self, name: str) -> object:
+        # Called only for an attribute not found: the field before its
+        # first read, built here once.
+        if name != self.__slots__[0]:
+            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
+        value = self._expand()
+        (set_field,) = self._setters
+        set_field(self, value)
+        return value
+
+    def __reduce__(self) -> tuple:
+        return self._from_lines, (self._lines,)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -240,9 +261,9 @@ class CuspidalMultiset(_ByLines):
     positive multiplicities, in the canonical order (symbol id, degree,
     exponent), so equal multisets always serialize byte-identically.  The
     value itself keeps only the integer exponents and multiplicities of
-    each symbol's runs; ``runs`` builds the twists from them on first
-    read.  ``entries`` and iteration expand the runs to the sorted twist
-    sequence.
+    each symbol's runs, as the keys and sums of its lines; ``runs`` builds
+    the twists from them on first read.  ``entries`` and iteration expand
+    the runs to the sorted twist sequence.
     """
 
     __slots__ = ("runs",)
@@ -255,29 +276,12 @@ class CuspidalMultiset(_ByLines):
         """The multiset with these (twist, multiplicity) runs."""
         return cls._from_lines(_canonical_lines((t.symbol, t.exponent.doubled, m) for t, m in runs))
 
-    @classmethod
-    def _from_lines(cls, lines: tuple[_LineTriple, ...]) -> CuspidalMultiset:
-        """Wrap lines that are already canonical."""
-        multiset = object.__new__(cls)
-        _set_lines(multiset, lines)
-        return multiset
-
-    def __getattr__(self, name: str) -> object:
-        # Called only for an attribute not found: ``runs`` before its
-        # first read, built here once.
-        if name != "runs":
-            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
-        runs = tuple(
+    def _expand(self) -> tuple[tuple[TwistedCuspidal, int], ...]:
+        return tuple(
             (TwistedCuspidal(symbol, HalfInt(e)), m)
             for symbol, exponents, mults in self._lines
             for e, m in zip(exponents, mults)
         )
-        (set_runs,) = self._setters
-        set_runs(self, runs)
-        return runs
-
-    def __reduce__(self) -> tuple:
-        return self._from_lines, (self._lines,)
 
     @property
     def entries(self) -> tuple[TwistedCuspidal, ...]:
@@ -305,18 +309,24 @@ class CuspidalMultiset(_ByLines):
 
 
 def _canonical_lines(triples: Iterable[tuple[CuspidalSymbol, int, int]]) -> tuple[_LineTriple, ...]:
-    """Add up the multiplicities of equal (symbol, doubled exponent)
-    pairs and sort them into canonical lines."""
-    counts: dict[CuspidalSymbol, dict[int, int]] = {}
-    for symbol, e, m in triples:
-        line = counts.get(symbol)
+    """Add up the sums of equal (symbol, key) pairs and sort the nonzero
+    ones into canonical lines."""
+    lines: dict[CuspidalSymbol, dict[int, int]] = {}
+    for symbol, key, value in triples:
+        line = lines.get(symbol)
         if line is None:
-            line = counts[symbol] = {}
-        line[e] = line.get(e, 0) + m
-    return tuple(
-        (symbol, *zip(*sorted(counts[symbol].items())))
-        for symbol in sorted(counts, key=_by_sort_key)
-    )
+            line = lines[symbol] = {}
+        line[key] = line.get(key, 0) + value
+    return tuple(filter(None, (
+        _line_triple(symbol, lines[symbol]) for symbol in sorted(lines, key=_by_sort_key)
+    )))
+
+
+def _line_triple(symbol: CuspidalSymbol, sums: dict[int, int]) -> _LineTriple | None:
+    """The line triple of symbol's nonzero sums by key, or None when
+    there is none."""
+    keys = sorted(key for key, value in sums.items() if value)
+    return (symbol, tuple(keys), tuple(map(sums.__getitem__, keys))) if keys else None
 
 
 class SpehDatum(_Value):
@@ -369,6 +379,10 @@ class ArthurParameter(_Record):
         return sum(s.degree for s in self.terms)
 
 
+_by_rho = attrgetter("rho")
+_by_dims = attrgetter("a", "b")
+
+
 def csupp_speh(s: SpehDatum) -> CuspidalMultiset:
     """Cuspidal support of u_rho(a, b): the a-by-b rectangle of twists.
 
@@ -381,19 +395,6 @@ def csupp_speh(s: SpehDatum) -> CuspidalMultiset:
     return csupp_param(ArthurParameter((s,)))
 
 
-def _corners(a: int, b: int) -> tuple[int, int, int, int]:
-    """The four corners of u_rho(a, b)'s trapezoid: the doubled exponents
-    e0, e0 + 2 min(a,b), e0 + 2 max(a,b) and e0 + 2(a+b), where
-    e0 = 2-a-b is its lowest one.  Its multiplicities have second
-    difference ``_STEPS`` (+1, -1, -1, +1) there and 0 elsewhere."""
-    low = 2 - a - b
-    short = min(a, b)
-    return low, low + 2 * short, low + 2 * (a + b - short), low + 2 * (a + b)
-
-
-_STEPS = (1, -1, -1, 1)
-
-
 def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     """Cuspidal support of a parameter: multiset union over its terms.
 
@@ -404,7 +405,7 @@ def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     nonzero counts and their exponents as ints; no twist is built.
     """
     lines = []
-    for rho, corners in _support_corners(param).items():
+    for rho, corners in _support_corners(param):
         low = min(corners)
         count = [0] * (max(corners) - low + 1)  # index = doubled exponent - low
         for exponent, total in corners.items():
@@ -416,23 +417,34 @@ def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     return CuspidalMultiset._from_lines(tuple(lines))
 
 
-def _support_corners(param: ArthurParameter) -> dict[CuspidalSymbol, dict[int, int]]:
+def _support_corners(param: ArthurParameter) -> list[tuple[CuspidalSymbol, dict[int, int]]]:
     """The corner table of param's cuspidal support: per cuspidal symbol,
-    in canonical order, the nonzero sums of its terms' ``_corners``,
-    keyed by doubled exponent.
+    in canonical order, the sums of its terms' corners keyed by doubled
+    exponent, zero sums included.
 
-    This is the second difference of the support's multiplicities: on
-    each cuspidal line and parity class they are its double prefix sum,
-    so two parameters have the same support exactly when they have equal
-    tables.  Built in O(terms), whatever the dimensions; no twist is
-    built.
+    The support of u_rho(a, b) is a trapezoid in the doubled exponent,
+    from 2-(a+b) to (a+b)-2.  Its multiplicities have second difference
+    +1 at 2-(a+b) and 2+(a+b), -1 at 2-|a-b| and 2+|a-b|, and 0
+    elsewhere.  So on each cuspidal line and parity class the support's
+    multiplicities are the table's double prefix sum, and two parameters
+    have the same support exactly when their tables agree on every
+    nonzero sum.  The terms come in canonical order, each symbol's
+    consecutively: one walk in O(terms), whatever the dimensions; no
+    twist is built.
     """
-    table: dict[CuspidalSymbol, dict[int, int]] = {}
-    for s in param:  # canonical term order, so the symbols come out sorted
-        line = table.setdefault(s.rho, {})
-        for exponent, step in zip(_corners(s.a, s.b), _STEPS):
-            line[exponent] = line.get(exponent, 0) + step
-    return {rho: {e: total for e, total in line.items() if total} for rho, line in table.items()}
+    table = []
+    for rho, terms in groupby(param.terms, _by_rho):
+        line: dict[int, int] = {}
+        get = line.get
+        for a, b in map(_by_dims, terms):
+            outer = a + b
+            inner = a - b if a > b else b - a
+            line[2 - outer] = get(2 - outer, 0) + 1
+            line[2 - inner] = get(2 - inner, 0) - 1
+            line[2 + inner] = get(2 + inner, 0) - 1
+            line[2 + outer] = get(2 + outer, 0) + 1
+        table.append((rho, line))
+    return table
 
 
 def in_cuspidal_lines(t: TwistedCuspidal, support: CuspidalMultiset) -> bool:

@@ -17,7 +17,7 @@ from itertools import groupby, product
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _Record, _support_corners
+from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _line_triple, _Record, _support_corners
 from .sl2 import diagonal_restriction
 
 
@@ -464,16 +464,21 @@ def same_cuspidal_support(a1: ArthurParameter, a2: ArthurParameter) -> bool:
     """Whether the two parameters restrict identically to the diagonal
     SL2, equivalently carry the same cuspidal support.
 
-    Both readings are computed on every call and must agree.  The
-    restriction costs O(sum of min(a, b)).  The support is compared by
-    its corner table (``core._support_corners``), the table that
-    ``csupp_param`` sums into multiplicities: equal tables mean equal
-    supports and conversely.  That costs O(terms), whatever a and b
-    are, and builds no twist."""
+    Both readings are computed on every call and must agree, each in
+    O(terms) whatever a and b are, and neither builds a twist or an
+    entry.  The restriction is compared by the ends of its runs of equal
+    multiplicity (``sl2.DiagonalRestriction``), a first difference in
+    dimension.  The support is compared by its corner table
+    (``core._support_corners``), the second difference in exponent that
+    ``csupp_param`` sums into multiplicities: equal nonzero sums mean
+    equal supports and conversely."""
     by_restriction = diagonal_restriction(a1) == diagonal_restriction(a2)
-    by_support = _support_corners(a1) == _support_corners(a2)
+    # zero sums, which terms whose corners cancel leave behind, dropped
+    corners1, corners2 = ([_line_triple(rho, line) for rho, line in _support_corners(p)] for p in (a1, a2))
+    by_support = corners1 == corners2
     if by_restriction != by_support:
         raise RuntimeError(
             "diagonal restriction and cuspidal support disagree; this cannot happen"
         )
     return by_restriction
+
