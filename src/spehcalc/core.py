@@ -398,18 +398,25 @@ def csupp_speh(s: SpehDatum) -> CuspidalMultiset:
 def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     """Cuspidal support of a parameter: multiset union over its terms.
 
-    Read off the corner table of ``_support_corners``: on each cuspidal
-    line, two prefix sums with stride 2 (one per parity) over the doubled
-    exponents from the lowest corner to the highest give the
-    multiplicities, in O(terms + span).  The support keeps each line's
-    nonzero counts and their exponents as ints; no twist is built.
+    Read off the ends of the diagonal restriction (``_restriction_lines``).
+    The support of u_rho(a, b) is a trapezoid in the doubled exponent,
+    from 2-(a+b) to (a+b)-2, whose multiplicities have second difference
+    +1 at 2-(a+b) and 2+(a+b), -1 at 2-|a-b| and 2+|a-b|, and 0
+    elsewhere: an end of step s at dimension d puts -s there at the two
+    doubled exponents 1+d and 3-d.  On each cuspidal line, with ``top``
+    its largest end, two prefix sums with stride 2 (one per parity) over
+    the doubled exponents 3-top to top+1 give the multiplicities, in
+    O(terms + span).  The support keeps each line's nonzero counts and
+    their exponents as ints; no twist is built.
     """
     lines = []
-    for rho, corners in _support_corners(param):
-        low = min(corners)
-        count = [0] * (max(corners) - low + 1)  # index = doubled exponent - low
-        for exponent, total in corners.items():
-            count[exponent - low] = total
+    for rho, ends, steps in _restriction_lines(param):
+        top = ends[-1]
+        low = 3 - top
+        count = [0] * (2 * top - 1)  # index = doubled exponent - low
+        for d, step in zip(ends, steps):
+            count[d + top - 2] -= step
+            count[top - d] -= step
         for parity in (0, 1):
             count[parity::2] = accumulate(accumulate(count[parity::2]))
         exponents = tuple(compress(range(low, low + len(count)), count))
@@ -417,34 +424,29 @@ def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     return CuspidalMultiset._from_lines(tuple(lines))
 
 
-def _support_corners(param: ArthurParameter) -> list[tuple[CuspidalSymbol, dict[int, int]]]:
-    """The corner table of param's cuspidal support: per cuspidal symbol,
-    in canonical order, the sums of its terms' corners keyed by doubled
-    exponent, zero sums included.
+def _restriction_lines(param: ArthurParameter) -> tuple[_LineTriple, ...]:
+    """The ends of param's restriction to the diagonal SL2, as line
+    triples: per cuspidal symbol, in canonical order, the nonzero sums of
+    the stride-2 first difference of the multiplicities by dimension.
 
-    The support of u_rho(a, b) is a trapezoid in the doubled exponent,
-    from 2-(a+b) to (a+b)-2.  Its multiplicities have second difference
-    +1 at 2-(a+b) and 2+(a+b), -1 at 2-|a-b| and 2+|a-b|, and 0
-    elsewhere.  So on each cuspidal line and parity class the support's
-    multiplicities are the table's double prefix sum, and two parameters
-    have the same support exactly when their tables agree on every
-    nonzero sum.  The terms come in canonical order, each symbol's
-    consecutively: one walk in O(terms), whatever the dimensions; no
-    twist is built.
+    V_a (x) V_b restricts to V_d for d = |a-b|+1, |a-b|+3, ..., a+b-1, so
+    on its symbol a term adds +1 at |a-b|+1 and -1 at a+b+1.  The terms
+    come in canonical order, each symbol's consecutively: one walk in
+    O(terms), whatever a and b are; no Clebsch-Gordan piece or twist is
+    built.  Two parameters have the same restriction, and so the same
+    cuspidal support, exactly when their lines are equal.
     """
-    table = []
+    lines = []
     for rho, terms in groupby(param.terms, _by_rho):
         line: dict[int, int] = {}
         get = line.get
         for a, b in map(_by_dims, terms):
-            outer = a + b
-            inner = a - b if a > b else b - a
-            line[2 - outer] = get(2 - outer, 0) + 1
-            line[2 - inner] = get(2 - inner, 0) - 1
-            line[2 + inner] = get(2 + inner, 0) - 1
-            line[2 + outer] = get(2 + outer, 0) + 1
-        table.append((rho, line))
-    return table
+            low = (a - b if a > b else b - a) + 1
+            high = a + b + 1
+            line[low] = get(low, 0) + 1
+            line[high] = get(high, 0) - 1
+        lines.append(_line_triple(rho, line))
+    return tuple(lines)
 
 
 def in_cuspidal_lines(t: TwistedCuspidal, support: CuspidalMultiset) -> bool:

@@ -4,22 +4,22 @@ Irreducibles are identified by their dimension d >= 1 (V_d); the zero
 object V_0 is never stored, so multisets of dimensions contain positive
 integers only.  A restriction to the diagonal SL2 is stored and compared
 by the ends of its runs of equal multiplicity, in O(terms) whatever the
-dimensions; its entries are built on their first read.
+dimensions; its entries are built on their first read.  The ends come
+from ``core._restriction_lines``, the one walk over a parameter's terms,
+off which ``csupp_param`` also reads the cuspidal support.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from operator import mul
 from typing import Iterable, Iterator
 
 from .core import (
     ArthurParameter,
     CuspidalSymbol,
-    _by_dims,
-    _by_rho,
     _ByLines,
     _canonical_lines,
-    _line_triple,
+    _restriction_lines,
     _set_lines,
 )
 
@@ -57,15 +57,19 @@ class DiagonalRestriction(_ByLines):
     equal multiplicity.  Equality, hashing, pickling and ``len`` read
     these ints alone, in O(terms) for a restriction of a parameter;
     ``entries`` is built from them on its first read, stepping from one
-    end to the next, in O(entries + ends).
+    end to the next, in O(entries + ends).  Dimensions are positive: an
+    entry below 1 raises ``ValueError``.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[CuspidalSymbol, int]] = ()) -> None:
-        _set_lines(self, _canonical_lines(
-            step for symbol, d in entries for step in ((symbol, d, 1), (symbol, d + 2, -1))
-        ))
+        steps = []
+        for symbol, d in entries:
+            if d < 1:
+                raise ValueError(f"restriction dimensions must be >= 1, got {d}")
+            steps += ((symbol, d, 1), (symbol, d + 2, -1))
+        _set_lines(self, _canonical_lines(steps))
 
     def _expand(self) -> tuple[tuple[CuspidalSymbol, int], ...]:
         entries = []
@@ -84,36 +88,12 @@ class DiagonalRestriction(_ByLines):
         return iter(self.entries)
 
     def __len__(self) -> int:
-        # on each parity class: each multiplicity times the width of its run
-        total = 0
-        for _, ends, steps in self._lines:
-            height, start = [0, 0], [0, 0]
-            for d, step in zip(ends, steps):
-                parity = d & 1
-                total += height[parity] * (d - start[parity]) // 2
-                height[parity] += step
-                start[parity] = d
-        return total
+        # each entry d adds +1 at d and -1 at d+2: -2 to the sum of d * step
+        return -sum(sum(map(mul, ends, steps)) for _, ends, steps in self._lines) // 2
 
 
 def diagonal_restriction(param: ArthurParameter) -> DiagonalRestriction:
     """Restrict each term's V_a (x) V_b to the diagonal SL2 and collect
-    the resulting (symbol, dimension) multiset.
-
-    V_a (x) V_b restricts to V_d for d = |a-b|+1, |a-b|+3, ..., a+b-1, so
-    on its symbol it adds +1 to the stride-2 first difference of the
-    multiplicities at |a-b|+1 and -1 at a+b+1: written per term, in
-    O(terms) whatever a and b are; no entry is built.  The terms come in
-    canonical order, each symbol's consecutively.
-    """
-    lines = []
-    for rho, terms in groupby(param.terms, _by_rho):
-        line: dict[int, int] = {}
-        get = line.get
-        for a, b in map(_by_dims, terms):
-            low = (a - b if a > b else b - a) + 1
-            high = a + b + 1
-            line[low] = get(low, 0) + 1
-            line[high] = get(high, 0) - 1
-        lines.append(_line_triple(rho, line))
-    return DiagonalRestriction._from_lines(tuple(lines))
+    the resulting (symbol, dimension) multiset, stored by the ends that
+    ``core._restriction_lines`` writes in O(terms); no entry is built."""
+    return DiagonalRestriction._from_lines(_restriction_lines(param))

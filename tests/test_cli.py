@@ -284,12 +284,15 @@ class TestErrorChannels:
         assert err.count("\n") == 1
 
     def test_support_restriction_disagreement_exit_4(self, capsys, monkeypatch):
-        # every restriction differs from every other, while the supports agree
-        monkeypatch.setattr("spehcalc.relevance.diagonal_restriction", lambda param: object())
+        # a fault inside the same-support comparison is reported, never read as a verdict
+        def boom(param):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("spehcalc.relevance.diagonal_restriction", boom)
         code, out, err = run(capsys, ["samegroup", "triv(4)", "st(4)"])
         assert code == 4
         assert out == ""
-        assert err.startswith("internal error: diagonal restriction and cuspidal support disagree")
+        assert err.startswith("internal error: boom")
         assert err.count("\n") == 1
         assert "Traceback" not in err
 

@@ -27,8 +27,8 @@ from spehcalc import (
     csupp_param,
     csupp_segment,
     csupp_speh,
-    diagonal_restriction,
     in_cuspidal_lines,
+    az_dual_param,
     same_cuspidal_support,
 )
 from spehcalc.branching import BranchingVerdict, same_group_ext_segment_type
@@ -259,7 +259,7 @@ class TestLargeSupports:
                 s = split.pop(rng.choice(long))
                 split += [SpehDatum(s.rho, 1, s.b - 1), SpehDatum(s.rho, 1, 1)]
         other = ArthurParameter(tuple(split))
-        expected = diagonal_restriction(param) == diagonal_restriction(other)
+        expected = csupp_param(param) == csupp_param(other)
         assert same_cuspidal_support(param, other) == expected
         assert same_cuspidal_support(other, param) == expected
 
@@ -306,6 +306,54 @@ def speh_twists(s: SpehDatum) -> list[TwistedCuspidal]:
         for j2 in range(-(s.b - 1), s.b, 2)
         for i2 in range(-(s.a - 1), s.a, 2)
     ]
+
+
+class TestSameSupportByRectangles:
+    def test_same_support_is_equality_of_the_rectangles(self):
+        """same_cuspidal_support agrees with comparing the twists of the
+        rectangles one by one.  The left sides have one to five terms over
+        four lines with a, b up to 12, of both parities of a + b, a third
+        of them square (where a term's two inner corners meet at doubled
+        exponent 2).  Half of the right sides rewrite the left without
+        changing its support, into its dual or its Clebsch-Gordan split;
+        the other half then drop a term, move one to another line or
+        widen one by a column."""
+        rng = random.Random(18)
+
+        def draw():
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                a = rng.randint(1, 12)
+                b = a if rng.random() < 1 / 3 else rng.randint(1, 12)
+                terms.append(SpehDatum(rng.choice(LARGE_SYMBOLS), a, b))
+            return ArthurParameter(tuple(terms))
+
+        def rectangles(param):
+            return Counter(t for s in param for t in speh_twists(s))
+
+        outcomes, parities, squares = Counter(), set(), 0
+        for i in range(400):
+            p = draw()
+            q = az_dual_param(p) if rng.random() < 0.5 else clebsch_gordan_split(p)
+            if i % 2:
+                terms = list(q.terms)
+                j = rng.randrange(len(terms))
+                s = terms[j]
+                roll = rng.randrange(3)
+                if roll == 0:
+                    terms.pop(j)
+                elif roll == 1:
+                    terms[j] = SpehDatum(rng.choice(LARGE_SYMBOLS), s.a, s.b)
+                else:
+                    terms[j] = SpehDatum(s.rho, s.a, s.b + 1)
+                q = ArthurParameter(tuple(terms))
+            expected = rectangles(p) == rectangles(q)
+            assert same_cuspidal_support(p, q) == same_cuspidal_support(q, p) == expected
+            outcomes[i % 2, expected] += 1
+            parities |= {(s.a + s.b) % 2 for s in p}
+            squares += sum(s.a == s.b for s in p)
+        assert outcomes[0, True] == 200 and outcomes[1, False] > 150
+        assert parities == {0, 1} and squares > 100
 
 
 def runs_built(support: CuspidalMultiset) -> bool:

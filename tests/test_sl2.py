@@ -227,6 +227,12 @@ class TestRestrictionByEnds:
             assert loaded == restriction and hash(loaded) == hash(restriction)
             assert loaded.entries == old_form.entries
 
+    @pytest.mark.parametrize("entries", [[(RHO, 0)], [(RHO, 0), (RHO, -3)], [(RHO, 2), (SYMBOLS[1], -1)]])
+    def test_dimensions_below_one_raise(self, entries):
+        # V_0 is never stored: a dimension below 1 is refused as clebsch_gordan refuses one
+        with pytest.raises(ValueError, match="dimensions must be >= 1"):
+            DiagonalRestriction(entries)
+
     def test_huge_terms_need_no_entry_twist_or_clebsch_gordan_piece(self, monkeypatch):
         """Restrictions and supports of four-line parameters with a and b
         up to 10^9, both parities of a + b on every line, answer without
