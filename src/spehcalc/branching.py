@@ -49,9 +49,10 @@ def _require_restriction_pair(a1: ArthurParameter, a2: ArthurParameter) -> None:
 
 def _require_segment_type(*params: ArthurParameter) -> None:
     for param in params:
-        for s in param:
-            if not s.is_segment_type:
-                raise HypothesisError(f"term {format_term(s)} is not of segment type")
+        for rho, keys, _ in param._lines:
+            for a, b in keys:
+                if a != 1 and b != 1:
+                    raise HypothesisError(f"term {format_term(SpehDatum(rho, a, b))} is not of segment type")
 
 
 def hom_branch_arthur(a1: ArthurParameter, a2: ArthurParameter) -> BranchingVerdict:
@@ -92,22 +93,27 @@ def ext_branch_recursive(a1: ArthurParameter, a2: ArthurParameter) -> bool:
     """
     _require_restriction_pair(a1, a2)
     _require_segment_type(a1, a2)
-    counts: dict = {}
+    lines: dict = {}  # symbol -> (level, side) -> [terms to pair, terms that may drop]
     for side, param in enumerate((a1, a2)):
-        for s in param:
-            counts.setdefault((s.rho, side, s.a + s.b), [0, 0])[s.b == 1] += 1
-    chains: dict = {}
-    for rho, side, level in sorted(counts, key=lambda key: -key[2]):
-        need, drop = counts[rho, side, level]
-        chain = (rho, (side + level) % 2)
-        above, lo, hi = chains.get(chain, (None, 0, 0))
-        if above != level + 1:
-            hi = 0  # the empty levels in between take no waiting term
-        hi = min(hi, need + drop)
-        if lo > hi:
+        for rho, keys, copies in param._lines:
+            levels = lines.setdefault(rho, {})
+            for (a, b), n in zip(keys, copies):
+                levels.setdefault((a + b, side), [0, 0])[b == 1] += n
+    for levels in lines.values():
+        chains = [(None, 0, 0), (None, 0, 0)]  # by parity of side + level: (level, lo, hi)
+        for level, side in sorted(levels, reverse=True):
+            need, drop = levels[level, side]
+            chain = (side + level) % 2
+            above, lo, hi = chains[chain]
+            if above != level + 1:
+                hi = 0  # the empty levels in between take no waiting term
+            hi = min(hi, need + drop)
+            if lo > hi:
+                return False
+            chains[chain] = (level, need - min(hi, need), need - max(0, lo - drop))
+        if chains[0][1] or chains[1][1]:
             return False
-        chains[chain] = (level, need - min(hi, need), need - max(0, lo - drop))
-    return all(lo == 0 for _, lo, _ in chains.values())
+    return True
 
 
 def same_group_ext_segment_type(a1: ArthurParameter, a2: ArthurParameter) -> bool:

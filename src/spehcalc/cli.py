@@ -28,9 +28,11 @@ from .branching import (
 from .core import ArthurParameter, csupp_param
 from .dsl import (
     ParseError,
+    _format_u,
     format_param,
     format_segment_rep,
     format_support,
+    format_symbol,
     format_term,
     parse_param,
     parse_rep,
@@ -50,7 +52,6 @@ from .segments import (
     az_dual_param,
     csupp_segment,
     jacquet,
-    speh_minus,
 )
 
 EXIT_TRUE = 0
@@ -111,18 +112,24 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_minus(args: argparse.Namespace) -> int:
+    # On the parameter's lines: u(a, b) steps down to u(a, b-1), which
+    # keeps a line's keys sorted, and drops when b = 1.
     param = parse_param(args.expr)
-    kept = []
-    dropped = []
-    for term in param:
-        reduced = speh_minus(term)
-        if reduced is None:
-            dropped.append(term)
-        else:
-            kept.append(reduced)
-    result = ArthurParameter(tuple(kept))
+    kept_lines = []
+    dropped = []  # in canonical order, one entry a copy
+    for rho, keys, counts in param._lines:
+        symbol_text = format_symbol(rho)
+        kept_keys, kept_counts = [], []
+        for (a, b), n in zip(keys, counts):
+            if b > 1:
+                kept_keys.append((a, b - 1))
+                kept_counts.append(n)
+            else:
+                dropped += [_format_u(symbol_text, a, 1)] * n
+        if kept_keys:
+            kept_lines.append((rho, tuple(kept_keys), tuple(kept_counts)))
+    result = ArthurParameter._from_lines(tuple(kept_lines))
     canonical = format_param(result)
-    dropped = [format_term(s) for s in dropped]  # params iterate in canonical order
     lines = [canonical, f"dim {result.dim}"]
     if dropped:
         lines.append("dropped: " + ", ".join(dropped))

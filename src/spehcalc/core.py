@@ -10,8 +10,8 @@ point anywhere.
 from __future__ import annotations
 
 from functools import total_ordering
-from itertools import accumulate, compress, groupby
-from operator import attrgetter, mul
+from itertools import accumulate, compress, starmap
+from operator import attrgetter, itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -210,7 +210,8 @@ class TwistedCuspidal(_Value):
 class _ByLines(_Record):
     """A record that is equal and hashes by a hidden ``_lines``: one
     ``(symbol, keys, sums)`` triple per cuspidal symbol, in canonical
-    order, the int keys strictly increasing and the int sums nonzero.
+    order, the keys (ints, or tuples of ints) strictly increasing and the
+    int sums nonzero.
 
     Like ``_Value``'s key, ``_lines`` is no field: it is not in the
     subclass's ``__slots__``, ``__match_args__`` or ``repr``.  Comparing
@@ -251,6 +252,7 @@ class _ByLines(_Record):
 
 
 _set_lines = _ByLines._lines.__set__
+_third = itemgetter(2)
 _LineTriple = tuple[CuspidalSymbol, tuple[int, ...], tuple[int, ...]]
 
 
@@ -293,7 +295,7 @@ class CuspidalMultiset(_ByLines):
                 yield t
 
     def __len__(self) -> int:
-        return sum(sum(mults) for _, _, mults in self._lines)
+        return sum(map(sum, map(_third, self._lines)))
 
     def union(self, *others: CuspidalMultiset) -> CuspidalMultiset:
         return CuspidalMultiset._from_lines(_canonical_lines(
@@ -325,8 +327,12 @@ def _canonical_lines(triples: Iterable[tuple[CuspidalSymbol, int, int]]) -> tupl
 def _line_triple(symbol: CuspidalSymbol, sums: dict[int, int]) -> _LineTriple | None:
     """The line triple of symbol's nonzero sums by key, or None when
     there is none."""
-    keys = sorted(key for key, value in sums.items() if value)
-    return (symbol, tuple(keys), tuple(map(sums.__getitem__, keys))) if keys else None
+    keys = sorted(sums)
+    values = tuple(map(sums.__getitem__, keys))
+    if 0 in values:
+        keys = [key for key, value in zip(keys, values) if value]
+        values = tuple(filter(None, values))
+    return (symbol, tuple(keys), values) if keys else None
 
 
 class SpehDatum(_Value):
@@ -348,39 +354,46 @@ class SpehDatum(_Value):
     def degree(self) -> int:
         return self.rho.degree * self.a * self.b
 
-    @property
-    def is_segment_type(self) -> bool:
-        """True when one SL2 factor acts trivially (a = 1 or b = 1)."""
-        return self.a == 1 or self.b == 1
 
-
-class ArthurParameter(_Record):
+class ArthurParameter(_ByLines):
     """A multiset of Speh data, kept in canonical sorted order.
 
     Models both a parameter (direct sum of terms) and the product of the
     corresponding Speh representations; the two readings carry the same
     data.  May be empty (the degree-0 parameter).
+
+    ``terms`` holds the Speh data sorted by (symbol id, degree, a, b).
+    The value itself keeps, per cuspidal symbol, the distinct (a, b) of
+    its terms, sorted, as the keys of its lines and their numbers of
+    copies as the sums: equality, hashing, pickling, ``len`` and ``dim``
+    read these ints alone, and so do the deciders.  ``terms`` is built
+    from them on its first read, one ``SpehDatum`` per distinct term.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[SpehDatum] = ()) -> None:
-        (set_terms,) = self._setters
-        set_terms(self, tuple(sorted(terms, key=_by_sort_key)))
+        _set_lines(self, _canonical_lines((s.rho, (s.a, s.b), 1) for s in terms))
+
+    def _expand(self) -> tuple[SpehDatum, ...]:
+        terms: list[SpehDatum] = []
+        for rho, keys, counts in self._lines:
+            for (a, b), n in zip(keys, counts):
+                terms += [SpehDatum(rho, a, b)] * n
+        return tuple(terms)
 
     def __iter__(self) -> Iterator[SpehDatum]:
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return sum(map(sum, map(_third, self._lines)))
 
     @property
     def dim(self) -> int:
-        return sum(s.degree for s in self.terms)
-
-
-_by_rho = attrgetter("rho")
-_by_dims = attrgetter("a", "b")
+        total = 0
+        for rho, keys, counts in self._lines:
+            total += rho.degree * sum(map(mul, starmap(mul, keys), counts))
+        return total
 
 
 def csupp_speh(s: SpehDatum) -> CuspidalMultiset:
@@ -430,21 +443,21 @@ def _restriction_lines(param: ArthurParameter) -> tuple[_LineTriple, ...]:
     the stride-2 first difference of the multiplicities by dimension.
 
     V_a (x) V_b restricts to V_d for d = |a-b|+1, |a-b|+3, ..., a+b-1, so
-    on its symbol a term adds +1 at |a-b|+1 and -1 at a+b+1.  The terms
-    come in canonical order, each symbol's consecutively: one walk in
-    O(terms), whatever a and b are; no Clebsch-Gordan piece or twist is
+    on its symbol a term adds +1 at |a-b|+1 and -1 at a+b+1, its copies
+    all at once.  One walk over param's lines, in O(distinct terms)
+    whatever a and b are; no Clebsch-Gordan piece, twist or Speh datum is
     built.  Two parameters have the same restriction, and so the same
     cuspidal support, exactly when their lines are equal.
     """
     lines = []
-    for rho, terms in groupby(param.terms, _by_rho):
+    for rho, keys, counts in param._lines:
         line: dict[int, int] = {}
         get = line.get
-        for a, b in map(_by_dims, terms):
+        for (a, b), n in zip(keys, counts):
             low = (a - b if a > b else b - a) + 1
             high = a + b + 1
-            line[low] = get(low, 0) + 1
-            line[high] = get(high, 0) - 1
+            line[low] = get(low, 0) + n
+            line[high] = get(high, 0) - n
         lines.append(_line_triple(rho, line))
     return tuple(lines)
 

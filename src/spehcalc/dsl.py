@@ -33,6 +33,7 @@ its message, span and expected set, comes from the plain stream.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, Union
 
 from .core import (
@@ -42,6 +43,7 @@ from .core import (
     HalfInt,
     SpehDatum,
     TwistedCuspidal,
+    _line_triple,
     _Record,
 )
 from .segments import Segment, SegmentRep, speh_from_segment_rep
@@ -338,25 +340,32 @@ class _Parser:
         return CuspidalMultiset(tuple(entries))
 
 
+# The whole-text path's symbols, kept across texts (up to 1024 of them):
+# a symbol is an immutable value, so one object serves every text that
+# names it, and dicts keyed by symbols then find it by identity.
+_symbol = lru_cache(maxsize=1024)(CuspidalSymbol)
+
+
 def _read_param_text(text: str, read: Callable[[_Parser], object]):
-    """The parameter of a text of u-terms alone, by ``_U_TERMS_RE``, with
-    each distinct term's value built once; for any other text, read(parser)
-    over the plain stream, which returns the value or raises the error."""
+    """The parameter of a text of u-terms alone, by ``_U_TERMS_RE``, its
+    lines written straight from the ``findall`` keys, with no Speh datum
+    built: each term's integers are read, in the order of the text, and
+    its degree as a number, so "rho", "rho:1" and "rho:01" land on one
+    line.  For any other text, read(parser) over the plain stream, which
+    returns the value or raises the error."""
     if _U_TERMS_RE.fullmatch(text) is None:
         return read(_Parser(text))
-    symbols: dict[tuple, CuspidalSymbol] = {}
-    data: dict[tuple, SpehDatum] = {}
-    terms = []
-    for key in _U_TERM_RE.findall(text):
-        s = data.get(key)
-        if s is None:
-            name, degree, a, b = key
-            rho = symbols.get((name, degree))
-            if rho is None:
-                rho = symbols[name, degree] = CuspidalSymbol(name, int(degree) if degree else 1)
-            s = data[key] = SpehDatum(rho, int(a), int(b))
-        terms.append(s)
-    return ArthurParameter(terms)
+    lines: dict[tuple[str, int], dict[tuple[int, int], int]] = {}
+    for name, degree, a, b in _U_TERM_RE.findall(text):
+        symbol = (name, int(degree) if degree else 1)
+        line = lines.get(symbol)
+        if line is None:
+            line = lines[symbol] = {}
+        key = (int(a), int(b))
+        line[key] = line.get(key, 0) + 1
+    return ArthurParameter._from_lines(tuple([
+        _line_triple(_symbol(*symbol), lines[symbol]) for symbol in sorted(lines)
+    ]))
 
 
 def parse_param(text: str) -> ArthurParameter:
@@ -395,14 +404,23 @@ def format_symbol(symbol: CuspidalSymbol) -> str:
     return f"{symbol.id}:{symbol.degree}"
 
 
+def _format_u(symbol_text: str, a: int, b: int) -> str:
+    """u(symbol_text;a,b), the canonical text of a Speh term."""
+    return f"u({symbol_text};{a},{b})"
+
+
 def format_term(s: SpehDatum) -> str:
-    return f"u({format_symbol(s.rho)};{s.a},{s.b})"
+    return _format_u(format_symbol(s.rho), s.a, s.b)
 
 
 def format_param(param: ArthurParameter) -> str:
-    if len(param) == 0:
-        return "0"
-    return " + ".join(format_term(s) for s in param)
+    """The canonical text, read from the parameter's lines: each symbol
+    is formatted once a line and each distinct term once, then repeated."""
+    parts = []
+    for symbol, keys, counts in param._lines:
+        symbol_text = format_symbol(symbol)
+        parts += [(_format_u(symbol_text, a, b) + " + ") * n for (a, b), n in zip(keys, counts)]
+    return "".join(parts)[:-3] or "0"
 
 
 def _format_twist(doubled: int, symbol_text: str) -> str:

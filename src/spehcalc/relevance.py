@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -43,7 +43,10 @@ class MoveFamily(Enum):
         return SpehDatum(left.rho, a, b) if a and b else None
 
     def compatible(self, left: SpehDatum, right: SpehDatum) -> bool:
-        return self.partner(left) == right
+        """Whether this family pairs ``left`` with ``right``: compared by
+        their (a, b) keys and their symbols' sort keys, with no term built."""
+        a, b = _partner_keys(left.a, left.b)[_KEY_INDEX[self._value_]]
+        return right.a == a and right.b == b and right.rho.sort_key == left.rho.sort_key
 
 
 def _partner_keys(a: int, b: int) -> tuple:
@@ -65,8 +68,7 @@ class MatchedPair(_Record):
     __slots__ = ("left", "right", "family")
 
     def __init__(self, left: SpehDatum, right: SpehDatum, family: MoveFamily) -> None:
-        a, b = _partner_keys(left.a, left.b)[_KEY_INDEX[family._value_]]
-        if right.a != a or right.b != b or right.rho.sort_key != left.rho.sort_key:
+        if not family.compatible(left, right):
             raise ValueError(f"terms ({left}, {right}) are not an {family.value} pair")
         set_left, set_right, set_family = self._setters
         set_left(self, left)
@@ -110,10 +112,13 @@ class Matching(_Record):
     def validate(self, a1: ArthurParameter, a2: ArthurParameter) -> None:
         """Check this matching against the pair it claims to decompose:
         exact reconstruction of both multisets, family compatibility of
-        every pair, and the Arthur-dim-1 drop rule."""
-        left = Counter(p.left for p in self.pairs) + Counter(self.dropped_left)
-        right = Counter(p.right for p in self.pairs) + Counter(self.dropped_right)
-        if left != Counter(a1.terms) or right != Counter(a2.terms):
+        every pair, and the Arthur-dim-1 drop rule.  The terms are counted
+        by their sort keys, against the parameters' lines."""
+        left = Counter(map(_left_key, self.pairs))
+        left.update(map(_by_sort_key, self.dropped_left))
+        right = Counter(map(_right_key, self.pairs))
+        right.update(map(_by_sort_key, self.dropped_right))
+        if dict(left) != _term_counts(a1) or dict(right) != _term_counts(a2):
             raise ValueError("matching does not reconstruct the parameter pair")
         for p in self.pairs:
             if not p.family.compatible(p.left, p.right):
@@ -150,6 +155,19 @@ class Matching(_Record):
             tuple(term_from_json(s) for s in data["dropped_left"]),
             tuple(term_from_json(s) for s in data["dropped_right"]),
         )
+
+
+_left_key = attrgetter("left.sort_key")
+_right_key = attrgetter("right.sort_key")
+
+
+def _term_counts(param: ArthurParameter) -> dict:
+    """The copies of each term of param, keyed by its sort key."""
+    return {
+        (*rho.sort_key, a, b): n
+        for rho, keys, counts in param._lines
+        for (a, b), n in zip(keys, counts)
+    }
 
 
 def term_to_json(s: SpehDatum) -> dict:
@@ -194,40 +212,46 @@ def term_from_json(data: dict) -> SpehDatum:
 _GREEDY = {"F2": 0, "F4": 1, "F1": 2, "F3": 3, None: 4}
 
 
-def _order(s: SpehDatum):
-    return (-(s.a + s.b), -s.a, s.sort_key)
+def _order(t: tuple):
+    """The search order of a line's left types ((a, b), copies): by level
+    a + b, then by a, both falling; total within one line."""
+    a, b = t[0]
+    return (-(a + b), -a)
 
 
 class _Line:
     """One line's network: nodes the left types in ``_order``, the right
     types, the slack node and the sink; edges e the option edges in search
     order (``families[e]`` None for a drop), each right type's, the slack
-    node's.  Edge e has arcs 2e and 2e + 1 (back), with a ``head`` and a
+    node's.  A type is a ((a, b), copies) pair of ints on the line of
+    ``rho``.  Edge e has arcs 2e and 2e + 1 (back), with a ``head`` and a
     residual capacity ``res``; ``arcs`` lists each node's arcs out.  Left
     type k's option edges are ``first[k]`` on, and ``greedy[k]`` lists
     their offsets from there in the order the start of the flow tries
     them.  ``picks`` and ``offsets`` are ``_option_tables`` of the
-    families."""
+    families.  ``terms`` (each type's ``SpehDatum``, by node) and
+    ``pairs`` (each option edge's ``MatchedPair``) are the values that
+    ``_leaf`` reports, built there."""
 
-    __slots__ = ("lefts", "rights", "first", "families", "greedy", "head", "arcs", "res")
+    __slots__ = ("rho", "lefts", "rights", "first", "families", "greedy", "head", "arcs", "res", "terms",
+                 "pairs")
 
-    def __init__(self, lefts: list, rights: list, left: Counter, right: Counter, picks: tuple,
+    def __init__(self, rho: CuspidalSymbol, lefts: list, rights: list, picks: tuple,
                  offsets: tuple) -> None:
         first, families, greedy, head, res = [], [], [], [], []
         slack = len(lefts) + len(rights)
-        get = {(r.a, r.b): v for v, r in enumerate(rights, len(lefts))}.get
+        get = {key: v for v, (key, _) in enumerate(rights, len(lefts))}.get
         total = 0
-        for k, t in enumerate(lefts):
+        for k, ((a, b), n) in enumerate(lefts):
             first.append(len(families))
-            n = left[t]
             total += n
             mask = 0
-            if t.b == 1:
+            if b == 1:
                 mask = 1
                 families.append(None)
                 head += (slack, k)
                 res += (n, 0)
-            keys = _partner_keys(t.a, t.b)
+            keys = _partner_keys(a, b)
             for f, i, bit in picks:
                 v = get(keys[i])
                 if v is not None:
@@ -237,15 +261,20 @@ class _Line:
                     res += (n, 0)
             greedy.append(offsets[mask])
         first.append(len(families))
-        for v, r in enumerate(rights, len(lefts)):
-            n = right[r]
-            if r.b > 1:
+        for v, ((_, b), n) in enumerate(rights, len(lefts)):
+            if b > 1:
                 total -= n
-            head += (slack + (r.b > 1), v)
+                head += (slack + 1, v)
+            else:
+                head += (slack, v)
             res += (n, 0)
-        self.lefts, self.rights, self.first, self.families, self.greedy = lefts, rights, first, families, greedy
-        self.head, self.res = head + [slack + 1, slack], res + [total, 0]
+        self.rho, self.lefts, self.rights = rho, lefts, rights
+        self.first, self.families, self.greedy = first, families, greedy
+        head += (slack + 1, slack)
+        res += (total, 0)
+        self.head, self.res = head, res
         self.arcs = None
+        self.terms = self.pairs = None
 
 
 @lru_cache(maxsize=16)
@@ -311,28 +340,23 @@ def _send(line: _Line, part: list, source: int, target: int, free: int, most: in
     return sent
 
 
-_rho = attrgetter("rho")
-
-
 def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]):
-    """Each cuspidal line's ``_Line`` with a saturating flow, or None."""
-    left, right = Counter(a1.terms), Counter(a2.terms)
-    lines: dict = {}
-    for side, terms in enumerate((left, right)):
-        for rho, types in groupby(terms, _rho):  # terms come sorted, so by line
-            lines.setdefault(rho, ([], []))[side].extend(types)
+    """Each cuspidal line's ``_Line`` with a saturating flow, or None.
+    Read from the parameters' lines: no term is built or hashed."""
+    rights = {rho: list(zip(keys, counts)) for rho, keys, counts in a2._lines}
+    lines = [(rho, sorted(zip(keys, counts), key=_order), rights.pop(rho, ()))
+             for rho, keys, counts in a1._lines]
+    lines += [(rho, (), types) for rho, types in rights.items()]
     picks, offsets = _option_tables(tuple(families))
     graphs = []
-    for lefts, rights in lines.values():
-        line = _Line(sorted(lefts, key=_order), rights, left, right, picks, offsets)
+    for rho, lefts, types in lines:
+        line = _Line(rho, lefts, types, picks, offsets)
         head, res, first = line.head, line.res, line.first
         sink = head[-2]  # the head of the slack node's edge
         if res[-2] < 0:
             return None
-        part = [None] * (sink + 1)  # a failed search ends the line: no class outlives the start
-        slack_arc, right_arc = len(res) - 2, 2 * (len(line.families) - len(line.lefts))
-        for k, t in enumerate(line.lefts):
-            need = left[t]
+        slack_arc, right_arc = len(res) - 2, 2 * (len(line.families) - len(lefts))
+        for k, (_, need) in enumerate(lefts):
             for off in line.greedy[k]:
                 # Along the option edge's arc a, then the arc s on from its
                 # head, through the slack node if that is optional.
@@ -350,22 +374,38 @@ def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveF
                 need -= sent
                 if not need:
                     break
-            if need and _send(line, part, k, sink, 0, need) < need:
+            # a failed search ends the line: no class outlives the start
+            if need and _send(line, [None] * (sink + 1), k, sink, 0, need) < need:
                 return None
         graphs.append(line)
     return graphs
 
 
 def _leaf(line: _Line):
-    """A line's matching as ``(pairs, dropped left, dropped right)``."""
-    res, pairs, drops, dropped_right = line.res, [], [], []
+    """A line's matching as ``(pairs, dropped left, dropped right)``.
+
+    Every copy of every type stands in each matching, paired or dropped,
+    so the first leaf of a line builds the ``SpehDatum`` of each of its
+    types, and each pair's ``MatchedPair`` on its first report; both are
+    kept on the line for the leaves after it."""
+    terms = line.terms
+    if terms is None:
+        rho = line.rho
+        terms = line.terms = [SpehDatum(rho, a, b) for (a, b), _ in (*line.lefts, *line.rights)]
+        line.pairs = [None] * len(line.families)
+    head, res, kept, pairs, drops, dropped_right = line.head, line.res, line.pairs, [], [], []
     for e, f in enumerate(line.families):
-        t, n = line.lefts[line.head[2 * e + 1]], res[2 * e + 1]
+        n = res[2 * e + 1]
+        if not n:
+            continue
         if f is None:
-            drops += [t] * n
-        elif n:
-            pairs += [MatchedPair(t, line.rights[line.head[2 * e] - len(line.lefts)], f)] * n
-    for e, r in enumerate(line.rights, len(line.families)):
+            drops += [terms[head[2 * e + 1]]] * n
+            continue
+        pair = kept[e]
+        if pair is None:
+            pair = kept[e] = MatchedPair(terms[head[2 * e + 1]], terms[head[2 * e]], f)
+        pairs += [pair] * n
+    for e, r in enumerate(terms[len(line.lefts):], len(line.families)):
         dropped_right += [r] * res[2 * e]
     return pairs, drops, dropped_right
 

@@ -120,8 +120,13 @@ def az_dual_speh(s: SpehDatum) -> SpehDatum:
 
 
 def az_dual_param(param: ArthurParameter) -> ArthurParameter:
-    """Termwise Aubert-Zelevinsky involution."""
-    return ArthurParameter(tuple(az_dual_speh(s) for s in param))
+    """Termwise Aubert-Zelevinsky involution, on param's lines: each
+    distinct (a, b) becomes (b, a) with its copies, re-sorted."""
+    lines = []
+    for rho, keys, counts in param._lines:
+        dual_keys, dual_counts = zip(*sorted(zip([(b, a) for a, b in keys], counts)))
+        lines.append((rho, dual_keys, dual_counts))
+    return ArthurParameter._from_lines(tuple(lines))
 
 
 def speh_level(s: SpehDatum) -> int:
@@ -191,7 +196,7 @@ def jacquet(kind: str, side: str, seg: Segment, l: int) -> JacquetResult:
 def is_generic_param(param: ArthurParameter) -> bool:
     """A product of Speh representations is generic exactly when every
     Arthur SL2 factor is trivial; the empty parameter counts as generic."""
-    return all(s.b == 1 for s in param)
+    return all(b == 1 for _, keys, _ in param._lines for _, b in keys)
 
 
 def whittaker_dim(param: ArthurParameter) -> int:

@@ -29,13 +29,22 @@ from spehcalc import (
     csupp_speh,
     in_cuspidal_lines,
     az_dual_param,
+    ext_branch_recursive,
+    format_param,
+    format_term,
+    ggp_relevant,
+    parse_param,
     same_cuspidal_support,
+    strong_ext_relevant,
+    whittaker_dim,
 )
+from spehcalc import dsl
 from spehcalc.branching import BranchingVerdict, same_group_ext_segment_type
 from spehcalc.dsl import SourceSpan, format_support, format_twisted, parse_support
 from spehcalc.relevance import MatchedPair, Matching, MoveFamily
 from spehcalc.segments import JacquetResult, Segment, SegmentRep
 from spehcalc.sl2 import DiagonalRestriction
+from _gen import near_miss_segment_type_pair, random_segment_type_related_pair
 
 RHO = CuspidalSymbol("rho")
 SIGMA = CuspidalSymbol("sigma")
@@ -516,6 +525,181 @@ class TestSupportLines:
             for t, answer in queries:
                 assert in_cuspidal_lines(t, support) == answer
             assert not runs_built(support)
+
+
+def terms_built(param: ArthurParameter) -> bool:
+    """True once param's ``terms`` has been read (the slot's own reader,
+    which does not build them)."""
+    try:
+        ArthurParameter.__dict__["terms"].__get__(param)
+    except AttributeError:
+        return False
+    return True
+
+
+class _ParentParameterPickle:
+    """Pickles as a parameter did when it was stored as its terms: the
+    class called on the sorted term tuple."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __reduce__(self):
+        return ArthurParameter, (self.terms,)
+
+
+PARAMETER_SYMBOLS = (CuspidalSymbol("one"), RHO, SIGMA, CuspidalSymbol("tau", 2), CuspidalSymbol("rho", 3))
+
+
+def spelled_symbol(rho: CuspidalSymbol, rng: random.Random) -> str:
+    """rho's id with its degree written in one of the ways the grammar
+    allows: none or 1 or 01 for degree 1, with or without a leading zero
+    otherwise."""
+    if rho.degree == 1:
+        return rho.id + rng.choice(("", ":1", ":01"))
+    return f"{rho.id}:{rng.choice(('', '0'))}{rho.degree}"
+
+
+def spelled_term(s: SpehDatum, rng: random.Random) -> str:
+    """s as a u-term, or as triv, st, a centred Z or Q segment or a bare
+    symbol where the grammar allows it."""
+    sym = spelled_symbol(s.rho, rng)
+    options = [f"u({sym};{s.a},{s.b})"]
+    if s.rho.id == "one" and s.a == 1:
+        options.append(f"triv({s.b})")
+    if s.rho.id == "one" and s.b == 1:
+        options.append(f"st({s.a})")
+    if s.a == 1 or s.b == 1:
+        n = s.a * s.b
+        ends = f"{(1 - n) // 2}..{(n - 1) // 2}" if n % 2 else f"{1 - n}/2..{n - 1}/2"
+        kinds = ("Z", "Q") if n == 1 else ("Z",) if s.a == 1 else ("Q",)
+        options += [f"{kind}[{ends}]{{{sym}}}" for kind in kinds]
+    if s.a == s.b == 1:
+        options.append(sym)
+    return rng.choice(options)
+
+
+def spelled_u_terms(terms, rng: random.Random) -> str:
+    """The terms as u-terms only, with every degree spelling, leading
+    zeros and both separators: the whole-text path reads this."""
+    def number(n):
+        return rng.choice(("", "0", "00")) + str(n)
+
+    parts = [f"u({spelled_symbol(s.rho, rng)};{number(s.a)},{number(s.b)})" for s in terms]
+    text = parts[0]
+    for part in parts[1:]:
+        text += rng.choice((" + ", "+", " x ", "\tx\n")) + part
+    return text
+
+
+class TestParameterLines:
+    """A parameter is stored per cuspidal line: per symbol, the distinct
+    (a, b) of its terms and their copies.  It must behave as the sorted
+    tuple of its terms, whichever way it was built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(SpehDatum, st.sampled_from(PARAMETER_SYMBOLS), st.integers(1, 5),
+                              st.integers(1, 5)), max_size=12),
+           st.randoms(use_true_random=False))
+    def test_every_construction_gives_one_value(self, terms, rng):
+        """Built from its terms in any order, from its text on the
+        whole-text path and on the plain token stream (every spelling of
+        every term and degree), through the dual twice, through pickle at
+        every protocol and in the form pickles had when parameters were
+        stored as their terms, and by copy: one value, with one hash,
+        repr, term tuple and text."""
+        ordered = tuple(sorted(terms, key=lambda s: s.sort_key))
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        first = ArthurParameter(terms)
+        u_text = spelled_u_terms(shuffled, rng) if terms else "0"
+        plain_text = " + ".join(spelled_term(s, rng) for s in shuffled) if terms else "0"
+        values = [
+            first,
+            ArthurParameter(shuffled),
+            ArthurParameter(terms=iter(shuffled)),
+            parse_param(format_param(first)),
+            parse_param(u_text),
+            parse_param(plain_text),
+            dsl._Parser(u_text).parse_param(),
+            az_dual_param(az_dual_param(first)),
+            copy.copy(first),
+            copy.deepcopy(first),
+        ]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            values.append(pickle.loads(pickle.dumps(ArthurParameter(terms), protocol)))
+            values.append(pickle.loads(pickle.dumps(_ParentParameterPickle(ordered), protocol)))
+        text = f"ArthurParameter(terms={ordered!r})"
+        canonical = " + ".join(format_term(s) for s in ordered) or "0"
+        for value in values:
+            assert type(value) is ArthurParameter
+            assert value == first and first == value and not value != first
+            assert hash(value) == hash(first) and {first: 1}[value] == 1
+            assert format_param(value) == canonical
+            assert (len(value), value.dim) == (len(ordered), sum(s.degree for s in ordered))
+            assert repr(value) == text
+            assert value.terms == ordered and tuple(value) == ordered
+
+    def test_unread_terms_behave_as_built_from_terms(self):
+        """A parsed parameter whose terms were never read compares,
+        hashes, pickles, copies and prints as the one built from its
+        terms, and only printing it builds them."""
+        terms = (SpehDatum(RHO, 2, 3), SpehDatum(RHO, 2, 3), SpehDatum(SIGMA, 1, 4), SpehDatum(RHO, 1, 1))
+        eager = ArthurParameter(terms)
+        assert eager.terms is not None and terms_built(eager)
+        parsed = parse_param("u(sigma;1,4) + u(rho;2,3) x u(rho:01;02,3) + rho")
+        assert not terms_built(parsed)
+        assert parsed == eager and hash(parsed) == hash(eager) and (len(parsed), parsed.dim) == (4, 17)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(parsed, protocol) == pickle.dumps(eager, protocol)
+            loaded = pickle.loads(pickle.dumps(parsed, protocol))
+            assert loaded == eager and not terms_built(loaded)
+        for copied in (copy.copy(parsed), copy.deepcopy(parsed)):
+            assert copied == eager and not terms_built(copied)
+        assert not terms_built(parsed)
+        assert repr(parsed) == repr(eager)
+        assert terms_built(parsed) and parsed.terms == eager.terms
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'terms'$"):
+            parsed.terms = ()
+
+    def test_deciders_build_no_speh_datum(self, monkeypatch):
+        """On large canonical texts over four cuspidal lines, parsing, both
+        relevance verdicts, the recursive Ext decider, the same-support
+        verdict, the support, the Whittaker dimension, the text, the
+        length and the dimension all answer with Speh data made
+        impossible to build, and leave the terms unbuilt."""
+        symbols = (CuspidalSymbol("one"), RHO, CuspidalSymbol("sigma", 2), CuspidalSymbol("tau", 3))
+        rng = random.Random(19)
+        cases = []
+        for pairs, broken in ((300, False), (400, True), (250, False)):
+            a1, a2 = random_segment_type_related_pair(rng, pairs, symbols)
+            if broken:  # the first near miss that no matching absorbs
+                a1, a2 = next(pair for pair in (near_miss_segment_type_pair(rng, pairs, symbols) for _ in range(50))
+                              if not ext_branch_recursive(*pair))
+            assert len({s.rho for s in a1}) == 4 and len(a1) + len(a2) > pairs
+            answers = (
+                ggp_relevant(a1, a2), strong_ext_relevant(a1, a2), ext_branch_recursive(a1, a2),
+                same_cuspidal_support(a1, az_dual_param(a1)), same_cuspidal_support(a1, a2),
+                csupp_param(a1), whittaker_dim(a1), whittaker_dim(az_dual_param(a1)),
+                (len(a1), len(a2), a1.dim, a2.dim),
+            )
+            cases.append((format_param(a1), format_param(a2), answers))
+        assert {answers[2] for *_, answers in cases} == {True, False}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Speh datum was built")
+
+        monkeypatch.setattr(SpehDatum, "__init__", refuse)
+        for text1, text2, answers in cases:
+            a1, a2 = parse_param(text1), parse_param(text2)
+            assert (
+                ggp_relevant(a1, a2), strong_ext_relevant(a1, a2), ext_branch_recursive(a1, a2),
+                same_cuspidal_support(a1, az_dual_param(a1)), same_cuspidal_support(a1, a2),
+                csupp_param(a1), whittaker_dim(a1), whittaker_dim(az_dual_param(a1)),
+                (len(a1), len(a2), a1.dim, a2.dim),
+            ) == answers
+            assert (format_param(a1), format_param(a2)) == (text1, text2)
+            assert not terms_built(a1) and not terms_built(a2)
 
 
 # The value-type contract: the behaviour every caller may rely on, whatever

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -449,6 +450,32 @@ class TestMatchingValue:
         m = Matching((), (SpehDatum(RHO, 1, 1),), ())
         with pytest.raises(ValueError):
             m.validate(param((RHO, 2, 1)), ArthurParameter(()))
+
+    def test_validate_messages(self):
+        """Each of the three checks, reconstruction, family and drop rule,
+        still raises its own message: a wrong copy count, a pair under
+        the wrong family (only built around the constructor, which
+        refuses it) and a dropped term of Arthur dimension 2."""
+        left, right = SpehDatum(RHO, 1, 3), SpehDatum(RHO, 1, 2)
+        pair = MatchedPair(left, right, MoveFamily.F1)
+        wrong = object.__new__(MatchedPair)
+        for set_field, value in zip(MatchedPair._setters, (left, right, MoveFamily.F2)):
+            set_field(wrong, value)
+        cases = [
+            (Matching((pair, pair)), param((RHO, 1, 3)), param((RHO, 1, 2)),
+             "matching does not reconstruct the parameter pair"),
+            (Matching((pair,)), param((RHO, 1, 3), (RHO, 1, 3)), param((RHO, 1, 2)),
+             "matching does not reconstruct the parameter pair"),
+            (Matching((pair,), (), (SpehDatum(CHI, 1, 1),)), param((RHO, 1, 3)), param((RHO, 1, 2)),
+             "matching does not reconstruct the parameter pair"),
+            (Matching((wrong,)), param((RHO, 1, 3)), param((RHO, 1, 2)), f"pair {wrong} violates family F2"),
+            (Matching((pair,), (SpehDatum(CHI, 1, 2),)), param((RHO, 1, 3), (CHI, 1, 2)), param((RHO, 1, 2)),
+             "dropped term has Arthur dimension 2 > 1"),
+        ]
+        for matching, a1, a2, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                matching.validate(a1, a2)
+        Matching((pair,), (SpehDatum(CHI, 1, 1),)).validate(param((RHO, 1, 3), (CHI, 1, 1)), param((RHO, 1, 2)))
 
 
 class TestSameCuspidalSupport:
