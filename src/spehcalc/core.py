@@ -75,8 +75,8 @@ class _Record:
 
 class _Value(_Record):
     """A record that is equal, hashes and sorts by a flat ``sort_key`` of
-    ints and strings: the cheap values that parsing builds by the
-    thousand.
+    ints and strings (or of tuples of them), holding no value: the cheap
+    values that parsing and the searches build by the thousand.
 
     A subclass's ``__init__`` ends by calling ``_freeze`` with its
     ``sort_key``, whose hash is computed there, once.  As the key is flat,

@@ -17,7 +17,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _Record
+from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _Value
 from .sl2 import diagonal_restriction
 
 
@@ -35,6 +35,8 @@ class MoveFamily(Enum):
     F2 = "F2"
     F3 = "F3"
     F4 = "F4"
+
+    __hash__ = object.__hash__  # members are singletons, compared by identity
 
     def partner(self, left: SpehDatum) -> Optional[SpehDatum]:
         """The unique right-side term this family pairs with ``left``, or
@@ -64,7 +66,10 @@ GGP_FAMILIES = (MoveFamily.F1, MoveFamily.F2)
 STRONG_FAMILIES = (MoveFamily.F1, MoveFamily.F2, MoveFamily.F3, MoveFamily.F4)
 
 
-class MatchedPair(_Record):
+class MatchedPair(_Value):
+    """A left term paired with a right term by one move family; the
+    constructor refuses a pair the family does not join."""
+
     __slots__ = ("left", "right", "family")
 
     def __init__(self, left: SpehDatum, right: SpehDatum, family: MoveFamily) -> None:
@@ -74,13 +79,10 @@ class MatchedPair(_Record):
         set_left(self, left)
         set_right(self, right)
         set_family(self, family)
-
-    @property
-    def sort_key(self):
-        return (self.left.sort_key, self.family._value_, self.right.sort_key)
+        self._freeze((left.sort_key, family._value_, right.sort_key))
 
 
-class Matching(_Record):
+class Matching(_Value):
     """A certificate decomposing a parameter pair: matched pairs plus the
     dropped terms on each side (all of Arthur dimension 1).
 
@@ -100,14 +102,7 @@ class Matching(_Record):
         set_pairs(self, tuple(sorted(pairs, key=_by_sort_key)))
         set_left(self, tuple(sorted(dropped_left, key=_by_sort_key)))
         set_right(self, tuple(sorted(dropped_right, key=_by_sort_key)))
-
-    @property
-    def sort_key(self):
-        return (
-            tuple(p.sort_key for p in self.pairs),
-            tuple(s.sort_key for s in self.dropped_left),
-            tuple(s.sort_key for s in self.dropped_right),
-        )
+        self._freeze(tuple(tuple(map(_by_sort_key, field)) for field in self._key(self)))
 
     def validate(self, a1: ArthurParameter, a2: ArthurParameter) -> None:
         """Check this matching against the pair it claims to decompose:
@@ -447,7 +442,7 @@ def _merge(leaves) -> Matching:
         pairs += p
         dropped_left += dl
         dropped_right += dr
-    return Matching(tuple(pairs), tuple(dropped_left), tuple(dropped_right))
+    return Matching(pairs, dropped_left, dropped_right)
 
 
 def find_matching(
@@ -473,7 +468,7 @@ def enumerate_matchings(
     if graphs is None:
         return []
     per_line = [list(_line_matchings(g)) for g in graphs]
-    return sorted(map(_merge, product(*per_line)), key=lambda m: m.sort_key)
+    return sorted(map(_merge, product(*per_line)), key=_by_sort_key)
 
 
 def _relevant(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]) -> bool:

@@ -764,6 +764,36 @@ VALUE_IDS = [type(v).__name__ for v, *_ in VALUES]
 contract = pytest.mark.parametrize("value,equal,fields,text", VALUES, ids=VALUE_IDS)
 
 
+# Certificates for the properties below: terms on a few lines, pairs under
+# any family that joins them (all four join every term of Arthur
+# dimension > 1, F2 and F4 every term).
+speh_terms = st.builds(SpehDatum, st.sampled_from(LARGE_SYMBOLS), st.integers(1, 4), st.integers(1, 4))
+matched_pairs = st.tuples(speh_terms, st.sampled_from(MoveFamily)).filter(
+    lambda t: t[1].partner(t[0]) is not None
+).map(lambda t: MatchedPair(t[0], t[1].partner(t[0]), t[1]))
+
+
+class _Reduced:
+    """Pickles as the given ``(callable, args)``: the form a pickle written
+    by an earlier version of the value types has."""
+
+    def __init__(self, reduced: tuple) -> None:
+        self.reduced = reduced
+
+    def __reduce__(self) -> tuple:
+        return self.reduced
+
+
+def assert_same_copies(value, reduced: tuple) -> None:
+    """Pickle at every protocol, ``copy``, ``deepcopy`` and a pickle of
+    ``reduced`` all give values equal to ``value``, with its hash and key."""
+    copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(_Reduced(reduced)))]
+    for other in copies:
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value) and other.sort_key == value.sort_key
+
+
 class TestValueContract:
     @contract
     def test_equal_values_hash_equal(self, value, equal, fields, text):
@@ -879,3 +909,28 @@ class TestValueContract:
         for left, right in ((HalfInt(1), other), (other, HalfInt(1))):
             with pytest.raises(TypeError):
                 compare(left, right)
+
+    @given(matched_pairs)
+    def test_matched_pair_is_keyed_once(self, pair):
+        left, right = (SpehDatum(CuspidalSymbol(s.rho.id, s.rho.degree), s.a, s.b) for s in (pair.left, pair.right))
+        again = MatchedPair(left, right, pair.family)
+        assert again == pair and hash(again) == hash(pair) and again.sort_key == pair.sort_key
+        assert pair.sort_key == (pair.left.sort_key, pair.family.value, pair.right.sort_key)
+        assert pair.__reduce__() == (MatchedPair, (pair.left, pair.right, pair.family))
+        assert_same_copies(pair, (MatchedPair, (left, right, pair.family)))
+
+    @given(st.lists(matched_pairs, max_size=6), st.lists(speh_terms, max_size=3),
+           st.lists(speh_terms, max_size=3), st.randoms(use_true_random=False))
+    def test_matching_is_keyed_once_whatever_the_order(self, pairs, dropped_left, dropped_right, rng):
+        matching = Matching(pairs, dropped_left, dropped_right)
+        fields = [rng.sample(field, len(field)) for field in (pairs, dropped_left, dropped_right)]
+        again = Matching(*fields)
+        assert again == matching and hash(again) == hash(matching) and again.sort_key == matching.sort_key
+        assert matching.sort_key == tuple(
+            tuple(v.sort_key for v in field) for field in (matching.pairs, matching.dropped_left, matching.dropped_right)
+        )
+        assert matching.__reduce__() == (Matching, (matching.pairs, matching.dropped_left, matching.dropped_right))
+        assert_same_copies(matching, (Matching, tuple(map(tuple, fields))))
+        # equal exactly when the sorted pairs and drops are, as before
+        other = Matching(pairs[:rng.randint(0, len(pairs))], dropped_left, dropped_right)
+        assert (other == matching) == (other._fields() == matching._fields())

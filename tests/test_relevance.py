@@ -455,12 +455,14 @@ class TestMatchingValue:
         """Each of the three checks, reconstruction, family and drop rule,
         still raises its own message: a wrong copy count, a pair under
         the wrong family (only built around the constructor, which
-        refuses it) and a dropped term of Arthur dimension 2."""
+        refuses it, its key frozen as the constructor would) and a
+        dropped term of Arthur dimension 2."""
         left, right = SpehDatum(RHO, 1, 3), SpehDatum(RHO, 1, 2)
         pair = MatchedPair(left, right, MoveFamily.F1)
         wrong = object.__new__(MatchedPair)
         for set_field, value in zip(MatchedPair._setters, (left, right, MoveFamily.F2)):
             set_field(wrong, value)
+        wrong._freeze((left.sort_key, MoveFamily.F2.value, right.sort_key))
         cases = [
             (Matching((pair, pair)), param((RHO, 1, 3)), param((RHO, 1, 2)),
              "matching does not reconstruct the parameter pair"),
@@ -476,6 +478,17 @@ class TestMatchingValue:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 matching.validate(a1, a2)
         Matching((pair,), (SpehDatum(CHI, 1, 1),)).validate(param((RHO, 1, 3), (CHI, 1, 1)), param((RHO, 1, 2)))
+
+    def test_validate_tells_degrees_apart(self):
+        """One symbol id at two degrees names two cuspidal lines: a
+        matching on the other line's terms does not reconstruct the pair."""
+        rho2 = CuspidalSymbol(RHO.id, 2)
+        for mine, other in ((RHO, rho2), (rho2, RHO)):
+            pair = MatchedPair(SpehDatum(mine, 1, 3), SpehDatum(mine, 1, 2), MoveFamily.F1)
+            matching = Matching((pair,), (SpehDatum(mine, 2, 1),))
+            matching.validate(param((mine, 1, 3), (mine, 2, 1)), param((mine, 1, 2)))
+            with pytest.raises(ValueError, match="^matching does not reconstruct the parameter pair$"):
+                matching.validate(param((other, 1, 3), (other, 2, 1)), param((other, 1, 2)))
 
 
 class TestSameCuspidalSupport:
