@@ -28,11 +28,9 @@ from .branching import (
 from .core import ArthurParameter, csupp_param
 from .dsl import (
     ParseError,
-    _format_u,
     format_param,
     format_segment_rep,
     format_support,
-    format_symbol,
     format_term,
     parse_param,
     parse_rep,
@@ -52,6 +50,7 @@ from .segments import (
     az_dual_param,
     csupp_segment,
     jacquet,
+    speh_minus,
 )
 
 EXIT_TRUE = 0
@@ -83,17 +82,10 @@ def _matching_lines(matching: Matching) -> list[str]:
     lines = []
     for p in matching.pairs:
         lines.append(f"  {p.family.value}: {format_term(p.left)} -> {format_term(p.right)}")
-    if matching.dropped_left:
-        dropped = ", ".join(format_term(s) for s in matching.dropped_left)
-        lines.append(f"  dropped left: {dropped}")
-    if matching.dropped_right:
-        dropped = ", ".join(format_term(s) for s in matching.dropped_right)
-        lines.append(f"  dropped right: {dropped}")
+    for side, dropped in (("left", matching.dropped_left), ("right", matching.dropped_right)):
+        if dropped:
+            lines.append(f"  dropped {side}: " + ", ".join(map(format_term, dropped)))
     return lines
-
-
-def _matching_json(matching: Optional[Matching]) -> Optional[dict]:
-    return matching.to_json_dict() if matching is not None else None
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -112,23 +104,15 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_minus(args: argparse.Namespace) -> int:
-    # On the parameter's lines: u(a, b) steps down to u(a, b-1), which
-    # keeps a line's keys sorted, and drops when b = 1.
-    param = parse_param(args.expr)
-    kept_lines = []
+    kept = []
     dropped = []  # in canonical order, one entry a copy
-    for rho, keys, counts in param._lines:
-        symbol_text = format_symbol(rho)
-        kept_keys, kept_counts = [], []
-        for (a, b), n in zip(keys, counts):
-            if b > 1:
-                kept_keys.append((a, b - 1))
-                kept_counts.append(n)
-            else:
-                dropped += [_format_u(symbol_text, a, 1)] * n
-        if kept_keys:
-            kept_lines.append((rho, tuple(kept_keys), tuple(kept_counts)))
-    result = ArthurParameter._from_lines(tuple(kept_lines))
+    for term in parse_param(args.expr):
+        lower = speh_minus(term)
+        if lower is None:
+            dropped.append(format_term(term))
+        else:
+            kept.append(lower)
+    result = ArthurParameter(kept)
     canonical = format_param(result)
     lines = [canonical, f"dim {result.dim}"]
     if dropped:
@@ -155,13 +139,8 @@ def _cmd_jacquet(args: argparse.Namespace) -> int:
     if result.is_zero:
         _emit(args, ["0"], {"zero": True})
     else:
-        omega1, omega2 = result.factors
-        text = f"{format_segment_rep(omega1)} (x) {format_segment_rep(omega2)}"
-        _emit(
-            args,
-            [text],
-            {"zero": False, "factors": [format_segment_rep(omega1), format_segment_rep(omega2)]},
-        )
+        factors = [format_segment_rep(omega) for omega in result.factors]
+        _emit(args, [" (x) ".join(factors)], {"zero": False, "factors": factors})
     return EXIT_TRUE
 
 
@@ -174,7 +153,8 @@ def _report(args: argparse.Namespace, verdict: bool, certificate: Optional[Match
     lines = [true_line if verdict else false_line]
     if certificate is not None:
         lines.extend(_matching_lines(certificate))
-    _emit(args, lines, {"verdict": verdict, "certificate": _matching_json(certificate), **extra})
+    certificate_json = None if certificate is None else certificate.to_json_dict()
+    _emit(args, lines, {"verdict": verdict, "certificate": certificate_json, **extra})
     return _verdict_exit(verdict)
 
 

@@ -215,7 +215,8 @@ class _ByLines(_Record):
 
     Like ``_Value``'s key, ``_lines`` is no field: it is not in the
     subclass's ``__slots__``, ``__match_args__`` or ``repr``.  Comparing
-    or hashing two values reads only ints and symbols.  The subclass's
+    or hashing two values reads only ints and symbols, and ``len``, unless
+    the subclass overrides it, adds up the sums.  The subclass's
     one field is built from ``_lines`` by its ``_expand`` on its first
     read and kept; pickle and copy carry ``_lines`` alone.
     """
@@ -249,6 +250,9 @@ class _ByLines(_Record):
 
     def __hash__(self) -> int:
         return hash(self._lines)
+
+    def __len__(self) -> int:
+        return sum(map(sum, map(_third, self._lines)))
 
 
 _set_lines = _ByLines._lines.__set__
@@ -293,9 +297,6 @@ class CuspidalMultiset(_ByLines):
         for t, m in self.runs:
             for _ in range(m):
                 yield t
-
-    def __len__(self) -> int:
-        return sum(map(sum, map(_third, self._lines)))
 
     def union(self, *others: CuspidalMultiset) -> CuspidalMultiset:
         return CuspidalMultiset._from_lines(_canonical_lines(
@@ -384,9 +385,6 @@ class ArthurParameter(_ByLines):
 
     def __iter__(self) -> Iterator[SpehDatum]:
         return iter(self.terms)
-
-    def __len__(self) -> int:
-        return sum(map(sum, map(_third, self._lines)))
 
     @property
     def dim(self) -> int:

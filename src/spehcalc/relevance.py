@@ -123,18 +123,14 @@ class Matching(_Value):
                 raise ValueError(f"dropped term has Arthur dimension {s.b} > 1")
 
     def to_json_dict(self) -> dict:
-        """The matching as JSON data; each distinct term's dict is built
-        once and shared by its occurrences."""
-        terms = {*self.dropped_left, *self.dropped_right}
-        terms.update(s for p in self.pairs for s in (p.left, p.right))
-        term = {s: term_to_json(s) for s in terms}
+        """The matching as JSON data."""
         return {
             "pairs": [
-                {"left": term[p.left], "right": term[p.right], "family": p.family._value_}
+                {"left": term_to_json(p.left), "right": term_to_json(p.right), "family": p.family._value_}
                 for p in self.pairs
             ],
-            "dropped_left": [term[s] for s in self.dropped_left],
-            "dropped_right": [term[s] for s in self.dropped_right],
+            "dropped_left": [term_to_json(s) for s in self.dropped_left],
+            "dropped_right": [term_to_json(s) for s in self.dropped_right],
         }
 
     @staticmethod

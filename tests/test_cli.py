@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -154,6 +155,37 @@ class TestCalculatorCommands:
         assert code == 0
         assert out == "u(one;1,6)\ndim 6\ndropped: u(chi;1,1), u(one;5,1)\n"
 
+    # (id, degree): two degrees of one id, and a symbol of degree 2
+    MINUS_SYMBOLS = (("chi", 1), ("rho", 1), ("rho", 3), ("sigma", 2))
+
+    @staticmethod
+    def raw_term_text(symbol, degree, a, b):
+        return f"u({symbol if degree == 1 else f'{symbol}:{degree}'};{a},{b})"
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_minus_against_raw_terms(self, capsys, seed):
+        # Several cuspidal lines, each with repeated terms; the reference
+        # steps the raw (id, degree, a, b) tuples and sorts them itself.
+        rng = random.Random(seed)
+        raw = []
+        for symbol, degree in rng.sample(self.MINUS_SYMBOLS, rng.randint(2, 4)):
+            for a, b in sorted({(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))}):
+                raw += [(symbol, degree, a, b)] * rng.randint(1, 3)
+        rng.shuffle(raw)
+        kept = sorted((symbol, degree, a, b - 1) for symbol, degree, a, b in raw if b > 1)
+        dropped = sorted(term for term in raw if term[3] == 1)
+        canonical = " + ".join(self.raw_term_text(*term) for term in kept) or "0"
+        dim = sum(degree * a * (b - 1) for _, degree, a, b in raw)
+        dropped_text = [self.raw_term_text(*term) for term in dropped]
+        expr = " + ".join(self.raw_term_text(*term) for term in raw)
+
+        code, out, _ = run(capsys, ["minus", expr])
+        lines = [canonical, f"dim {dim}"] + (["dropped: " + ", ".join(dropped_text)] if dropped else [])
+        assert (code, out) == (0, "\n".join(lines) + "\n")
+        code, out, _ = run(capsys, ["minus", "--json", expr])
+        assert code == 0
+        assert json.loads(out) == {"canonical": canonical, "dim": dim, "dropped": dropped_text}
+
     def test_csupp(self, capsys):
         code, out, _ = run(capsys, ["csupp", "u(rho;2,2)"])
         assert code == 0
@@ -163,6 +195,13 @@ class TestCalculatorCommands:
         code, out, _ = run(capsys, ["jacquet", "Q", "std", "[-1..1]{rho}", "1"])
         assert code == 0
         assert out == "Q[0..1]{rho} (x) Q[-1..-1]{rho}\n"
+
+    def test_jacquet_json_keeps_the_factor_order(self, capsys):
+        code, out, _ = run(capsys, ["jacquet", "--json", "Q", "std", "[-1..1]{rho}", "1"])
+        assert code == 0
+        assert json.loads(out) == {"zero": False, "factors": ["Q[0..1]{rho}", "Q[-1..-1]{rho}"]}
+        code, out, _ = run(capsys, ["jacquet", "--json", "Z", "opp", "[0..2]{sigma:2}", "3"])
+        assert (code, json.loads(out)) == (0, {"zero": True})
 
     def test_jacquet_zero(self, capsys):
         code, out, _ = run(capsys, ["jacquet", "Z", "opp", "[0..2]{sigma:2}", "3"])

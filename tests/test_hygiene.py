@@ -1,5 +1,6 @@
-"""Code hygiene: every definition in the package is used somewhere, and
-the package imports nothing outside the standard library.
+"""Code hygiene: every definition in the package is used somewhere, the
+package imports nothing outside the standard library, and the CLI reads
+only the package's public names.
 
 A definition counts as used when its name is read (as a bare name, an
 attribute or an imported name) in ``src/``, ``tests/`` or ``bench/``
@@ -108,3 +109,19 @@ def test_package_imports_only_the_standard_library():
                 if top != "spehcalc" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == [], f"imports outside the standard library: {outside}"
+
+
+def test_cli_uses_only_public_names():
+    """The command-line front end is a shell over the library: it imports
+    no underscore-prefixed name from the package and reads no
+    underscore-prefixed attribute, dunders aside."""
+    private = []
+    for node in ast.walk(MODULES[PACKAGE / "cli.py"]):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("spehcalc")):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        private += [name for name in names if name.startswith("_") and not _is_dunder(name)]
+    assert private == [], f"private names read by the CLI: {private}"
