@@ -36,10 +36,7 @@ class BranchingVerdict(_Record):
     __slots__ = ("nonvanishing", "certificate", "decider")
 
     def __init__(self, nonvanishing: bool, certificate: Optional[Matching], decider: str) -> None:
-        set_nonvanishing, set_certificate, set_decider = self._setters
-        set_nonvanishing(self, nonvanishing)
-        set_certificate(self, certificate)
-        set_decider(self, decider)
+        self._set(nonvanishing, certificate, decider)
 
 
 def _require_restriction_pair(a1: ArthurParameter, a2: ArthurParameter) -> None:

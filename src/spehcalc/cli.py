@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .branching import (
     HypothesisError,
@@ -60,15 +61,18 @@ EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
+def _emit(args: argparse.Namespace, lines: Iterable[str], payload: dict) -> None:
+    """Print the lines, or with ``--json`` the payload: only that form is rendered."""
     if args.quiet:
         return
     if args.json:
         import json
 
-        lines = [json.dumps(payload, indent=2, sort_keys=True)]
+        text = json.dumps(payload, indent=2, sort_keys=True, default=Matching.to_json_dict)
+    else:
+        text = "\n".join(lines)
     try:
-        print("\n".join(lines), flush=True)
+        print(text, flush=True)
     except BrokenPipeError:
         # The reader closed stdout, as "| head" does; the exit code still
         # carries the verdict.  What is left in the buffer goes to devnull,
@@ -78,14 +82,16 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
         os.close(devnull)
 
 
-def _matching_lines(matching: Matching) -> list[str]:
-    lines = []
+def _matching_lines(header: str, matching: Optional[Matching]) -> Iterator[str]:
+    """The header line, then the matching's pairs and drops, if any."""
+    yield header
+    if matching is None:
+        return
     for p in matching.pairs:
-        lines.append(f"  {p.family.value}: {format_term(p.left)} -> {format_term(p.right)}")
+        yield f"  {p.family.value}: {format_term(p.left)} -> {format_term(p.right)}"
     for side, dropped in (("left", matching.dropped_left), ("right", matching.dropped_right)):
         if dropped:
-            lines.append(f"  dropped {side}: " + ", ".join(map(format_term, dropped)))
-    return lines
+            yield f"  dropped {side}: " + ", ".join(map(format_term, dropped))
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -150,11 +156,8 @@ def _verdict_exit(verdict: bool) -> int:
 
 def _report(args: argparse.Namespace, verdict: bool, certificate: Optional[Matching],
             true_line: str, false_line: str, **extra) -> int:
-    lines = [true_line if verdict else false_line]
-    if certificate is not None:
-        lines.extend(_matching_lines(certificate))
-    certificate_json = None if certificate is None else certificate.to_json_dict()
-    _emit(args, lines, {"verdict": verdict, "certificate": certificate_json, **extra})
+    lines = _matching_lines(true_line if verdict else false_line, certificate)
+    _emit(args, lines, {"verdict": verdict, "certificate": certificate, **extra})
     return _verdict_exit(verdict)
 
 
@@ -179,12 +182,10 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
 def _cmd_matchings(args: argparse.Namespace) -> int:
     a1, a2 = parse_param(args.expr1), parse_param(args.expr2)
     matchings = enumerate_strong_matchings(a1, a2)
-    lines = [f"{len(matchings)} matching(s)"]
-    for index, matching in enumerate(matchings, start=1):
-        lines.append(f"matching {index}:")
-        lines.extend(_matching_lines(matching))
-    payload = {"count": len(matchings), "matchings": [m.to_json_dict() for m in matchings]}
-    _emit(args, lines, payload)
+    lines = chain([f"{len(matchings)} matching(s)"], *(
+        _matching_lines(f"matching {index}:", matching) for index, matching in enumerate(matchings, start=1)
+    ))
+    _emit(args, lines, {"count": len(matchings), "matchings": matchings})
     return _verdict_exit(bool(matchings))
 
 

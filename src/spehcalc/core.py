@@ -23,15 +23,16 @@ class _Record:
     behave as frozen dataclasses with the same fields.
 
     A subclass lists its fields, in order, as its ``__slots__``.  Its
-    ``__init__`` checks its arguments and writes its fields through
-    ``_setters`` (its slots' own writers, in slot order, which get past
-    the ``__setattr__`` that refuses every assignment).  Equality (only
-    with values of the same class), hash, ``repr`` and the refusals to
-    assign or delete follow from the fields as a frozen dataclass's do;
-    the refusals raise ``dataclasses.FrozenInstanceError``, imported only
-    then.  ``__reduce__`` rebuilds a value through its constructor, so
-    pickle and copy work.  Unlike a dataclass, defining a subclass
-    generates no code, so importing this package never loads
+    ``__init__`` checks its arguments and writes its fields in one call,
+    ``_set(*values)``, which hands them in slot order to ``_setters`` (the
+    slots' own writers, which get past the ``__setattr__`` that refuses
+    every assignment); only ``_set`` and ``_Value._freeze`` read them.
+    Equality (only with values of the same class), hash, ``repr`` and the
+    refusals to assign or delete follow from the fields as a frozen
+    dataclass's do; the refusals raise ``dataclasses.FrozenInstanceError``,
+    imported only then.  ``__reduce__`` rebuilds a value through its
+    constructor, so pickle and copy work.  Unlike a dataclass, defining a
+    subclass generates no code, so importing this package never loads
     ``dataclasses``; ``dataclasses.fields``, ``replace`` and ``asdict`` do
     not apply to these values.
     """
@@ -43,6 +44,10 @@ class _Record:
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         cls._key = attrgetter(*cls.__slots__)  # the field, or a tuple of the fields
         cls.__match_args__ = cls.__slots__
+
+    def _set(self, *values: object) -> None:
+        for write, value in zip(self._setters, values):
+            write(self, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -78,14 +83,17 @@ class _Value(_Record):
     ints and strings (or of tuples of them), holding no value: the cheap
     values that parsing and the searches build by the thousand.
 
-    A subclass's ``__init__`` ends by calling ``_freeze`` with its
-    ``sort_key``, whose hash is computed there, once.  As the key is flat,
-    equality and hashing never call into a nested value.
+    A subclass's ``__init__`` makes one call, ``_freeze(sort_key,
+    *values)``, which writes the fields as ``_set`` does, then the key and
+    its hash, computed there, once.  As the key is flat, equality and
+    hashing never call into a nested value.
     """
 
     __slots__ = ("sort_key", "_hash")
 
-    def _freeze(self, sort_key: tuple) -> None:
+    def _freeze(self, sort_key: tuple, *values: object) -> None:
+        for write, value in zip(self._setters, values):
+            write(self, value)
         _set_sort_key(self, sort_key)
         _set_hash(self, hash(sort_key))
 
@@ -114,9 +122,7 @@ class HalfInt(_Value):
     __slots__ = ("doubled",)
 
     def __init__(self, doubled: int) -> None:
-        (set_doubled,) = self._setters
-        set_doubled(self, doubled)
-        self._freeze((doubled,))
+        self._freeze((doubled,), doubled)
 
     @staticmethod
     def of(value: int) -> HalfInt:
@@ -181,10 +187,7 @@ class CuspidalSymbol(_Value):
             raise ValueError("cuspidal symbol id must be non-empty")
         if degree < 1:
             raise ValueError(f"cuspidal symbol degree must be >= 1, got {degree}")
-        set_id, set_degree = self._setters
-        set_id(self, id)
-        set_degree(self, degree)
-        self._freeze((id, degree))
+        self._freeze((id, degree), id, degree)
 
 
 class TwistedCuspidal(_Value):
@@ -193,10 +196,7 @@ class TwistedCuspidal(_Value):
     __slots__ = ("symbol", "exponent")
 
     def __init__(self, symbol: CuspidalSymbol, exponent: HalfInt) -> None:
-        set_symbol, set_exponent = self._setters
-        set_symbol(self, symbol)
-        set_exponent(self, exponent)
-        self._freeze((symbol.id, symbol.degree, exponent.doubled))
+        self._freeze((symbol.id, symbol.degree, exponent.doubled), symbol, exponent)
 
     def same_line(self, other: TwistedCuspidal) -> bool:
         """True when both twists lie in one cuspidal line: equal symbols
@@ -236,8 +236,7 @@ class _ByLines(_Record):
         if name != self.__slots__[0]:
             raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
         value = self._expand()
-        (set_field,) = self._setters
-        set_field(self, value)
+        self._set(value)
         return value
 
     def __reduce__(self) -> tuple:
@@ -345,11 +344,7 @@ class SpehDatum(_Value):
     def __init__(self, rho: CuspidalSymbol, a: int, b: int) -> None:
         if a < 1 or b < 1:
             raise ValueError(f"Speh dimensions must be >= 1, got ({a}, {b})")
-        set_rho, set_a, set_b = self._setters
-        set_rho(self, rho)
-        set_a(self, a)
-        set_b(self, b)
-        self._freeze((rho.id, rho.degree, a, b))
+        self._freeze((rho.id, rho.degree, a, b), rho, a, b)
 
     @property
     def degree(self) -> int:

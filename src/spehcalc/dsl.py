@@ -56,9 +56,7 @@ class SourceSpan(_Record):
     __slots__ = ("start", "end")
 
     def __init__(self, start: int, end: int) -> None:
-        set_start, set_end = self._setters
-        set_start(self, start)
-        set_end(self, end)
+        self._set(start, end)
 
 
 class ParseError(Exception):

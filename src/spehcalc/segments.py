@@ -31,10 +31,7 @@ class Segment(_Record):
         diff = b - a
         if not diff.is_integer or diff.doubled < 0:
             raise ValueError(f"segment needs b - a a non-negative integer, got [{a}, {b}]")
-        set_rho, set_a, set_b = self._setters
-        set_rho(self, rho)
-        set_a(self, a)
-        set_b(self, b)
+        self._set(rho, a, b)
 
     @property
     def length(self) -> int:
@@ -82,9 +79,7 @@ class SegmentRep(_Record):
     def __init__(self, kind: str, segment: Segment) -> None:
         if kind not in (Z, Q):
             raise ValueError(f"segment representation kind must be 'Z' or 'Q', got {kind!r}")
-        set_kind, set_segment = self._setters
-        set_kind(self, kind)
-        set_segment(self, segment)
+        self._set(kind, segment)
 
     @property
     def degree(self) -> int:
@@ -98,8 +93,7 @@ class JacquetResult(_Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors: Optional[tuple[SegmentRep, SegmentRep]]) -> None:
-        (set_factors,) = self._setters
-        set_factors(self, factors)
+        self._set(factors)
 
     @staticmethod
     def zero() -> JacquetResult:

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -264,6 +265,23 @@ class TestFlags:
             assert payload["verdict"] is True
             assert payload["decider"] == decider
         assert json.loads(out)["certificate"] is not None
+
+    def test_only_the_printed_form_is_rendered(self, capsys):
+        """Text output encodes no matching as JSON, and ``--json`` output
+        formats no term: each command renders only what it prints."""
+        pair = GOLDEN_ARGV["matchings_gl13_gl12"][1:]
+        with mock.patch.object(
+            Matching, "to_json_dict", autospec=True, side_effect=Matching.to_json_dict
+        ) as to_json:
+            for command in ("matchings", "strong", "ext"):
+                code, out, _ = run(capsys, [command, *pair])
+                assert code == 0 and "u(one;1,7)" in out, command
+        assert to_json.call_count == 0
+        with mock.patch("spehcalc.cli.format_term", wraps=spehcalc.cli.format_term) as format_term:
+            for command in ("matchings", "strong", "ext"):
+                code, out, _ = run(capsys, [command, "--json", *pair])
+                assert code == 0 and json.loads(out)["matchings" if command == "matchings" else "certificate"]
+        assert format_term.call_count == 0
 
 
 class TestErrorChannels:

@@ -40,6 +40,7 @@ from spehcalc import (
 )
 from spehcalc import dsl
 from spehcalc.branching import BranchingVerdict, same_group_ext_segment_type
+from spehcalc.core import half_range
 from spehcalc.dsl import SourceSpan, format_support, format_twisted, parse_support
 from spehcalc.relevance import MatchedPair, Matching, MoveFamily
 from spehcalc.segments import JacquetResult, Segment, SegmentRep
@@ -77,6 +78,12 @@ class TestHalfInt:
 
     def test_as_fraction(self):
         assert HalfInt(3).as_fraction == Fraction(3, 2)
+
+    def test_range_between_lattices_errors(self):
+        assert list(half_range(HalfInt(1), HalfInt(5))) == [HalfInt(1), HalfInt(3), HalfInt(5)]
+        with pytest.raises(ValueError) as info:
+            list(half_range(HalfInt(0), HalfInt(3)))
+        assert str(info.value) == "range endpoints 0, 3/2 differ by a non-integer"
 
     @given(st.integers(-50, 50), st.integers(-50, 50))
     def test_add_sub_roundtrip(self, x, y):

@@ -14,6 +14,7 @@ from spehcalc import (
     ParseError,
     Segment,
     SegmentRep,
+    SourceSpan,
     SpehDatum,
     TwistedCuspidal,
     format_param,
@@ -168,6 +169,11 @@ class TestErrors:
         start, end, expected = span_of(text)
         assert 0 <= start <= end <= len(text)
         assert expected
+
+    def test_error_without_expected_set_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            ParseError("unexpected character", SourceSpan(0, 1), frozenset())
+        assert str(info.value) == "a parse error must carry a non-empty expected set"
 
     def test_non_centered_message(self):
         with pytest.raises(ParseError, match="centered"):

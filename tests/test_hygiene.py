@@ -125,3 +125,16 @@ def test_cli_uses_only_public_names():
             continue
         private += [name for name in names if name.startswith("_") and not _is_dunder(name)]
     assert private == [], f"private names read by the CLI: {private}"
+
+
+def test_only_the_record_bases_read_the_field_writers():
+    """Every constructor writes its fields through ``_Record._set`` or
+    ``_Value._freeze``: no top-level statement of the package but those
+    two classes reads ``_setters``."""
+    readers = sorted(
+        f"{path.name}: {getattr(node, 'name', f'line {node.lineno}')}"
+        for path, tree in MODULES.items()
+        for node in tree.body
+        if _reads(node)["._setters"]
+    )
+    assert readers == ["core.py: _Record", "core.py: _Value"]

@@ -80,6 +80,11 @@ class TestSegments:
         assert not linked(seg(RHO, 0, 1), seg(SIGMA, 1, 2))
         assert not linked(seg(RHO, 0, 1), Segment(RHO, HalfInt(1), HalfInt(3)))
 
+    def test_containment_needs_one_symbol_and_lattice(self):
+        assert seg(RHO, 0, 2).contains(seg(RHO, 1, 1))
+        assert not seg(RHO, 0, 2).contains(seg(SIGMA, 1, 1))
+        assert not seg(RHO, 0, 2).contains(Segment(RHO, HalfInt(1), HalfInt(1)))  # half-integer offset
+
     @pytest.mark.parametrize("a1", range(-2, 3))
     @pytest.mark.parametrize("b1_off", range(0, 3))
     @pytest.mark.parametrize("a2", range(-2, 3))
@@ -165,6 +170,18 @@ class TestJacquet:
         omega1, omega2 = result.factors
         assert omega1 == SegmentRep("Z", seg(RHO, 0, 1))
         assert omega2 == SegmentRep("Z", seg(RHO, -1, -1))
+
+    @pytest.mark.parametrize(
+        "kind, side, message",
+        [
+            ("X", STANDARD, "kind must be 'Z' or 'Q', got 'X'"),
+            ("Q", "std", "side must be 'standard' or 'opposite', got 'std'"),
+        ],
+    )
+    def test_bad_kind_or_side_errors(self, kind, side, message):
+        with pytest.raises(ValueError) as info:
+            jacquet(kind, side, seg(RHO, 0, 2), 1)
+        assert str(info.value) == message
 
     def test_split_out_of_range_errors(self):
         with pytest.raises(ValueError):
