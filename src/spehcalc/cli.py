@@ -61,6 +61,13 @@ EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
 
 
+def _matching_json(value: object) -> dict:
+    """Encode the matchings a payload holds; refuse anything else as json does."""
+    if value.__class__ is not Matching:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return value.to_json_dict()
+
+
 def _emit(args: argparse.Namespace, lines: Iterable[str], payload: dict) -> None:
     """Print the lines, or with ``--json`` the payload: only that form is rendered."""
     if args.quiet:
@@ -68,7 +75,7 @@ def _emit(args: argparse.Namespace, lines: Iterable[str], payload: dict) -> None
     if args.json:
         import json
 
-        text = json.dumps(payload, indent=2, sort_keys=True, default=Matching.to_json_dict)
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_matching_json)
     else:
         text = "\n".join(lines)
     try:

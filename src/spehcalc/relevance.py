@@ -94,8 +94,10 @@ class Matching(_Value):
         dropped_left: Iterable[SpehDatum] = (),
         dropped_right: Iterable[SpehDatum] = (),
     ) -> None:
-        fields = [tuple(sorted(field, key=_by_sort_key)) for field in (pairs, dropped_left, dropped_right)]
-        self._freeze(tuple(tuple(map(_by_sort_key, field)) for field in fields), *fields)
+        fields = pairs, left, right = [
+            tuple(sorted(field, key=_by_sort_key)) for field in (pairs, dropped_left, dropped_right)
+        ]
+        self._freeze(tuple(tuple(map(_by_sort_key, field)) for field in fields), pairs, left, right)
 
     def validate(self, a1: ArthurParameter, a2: ArthurParameter) -> None:
         """Check this matching against the pair it claims to decompose:
