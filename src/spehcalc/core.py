@@ -28,8 +28,9 @@ class _Record:
     slots' own writers, which get past the ``__setattr__`` that refuses
     every assignment); only ``_set`` and ``_Value._freeze`` read them.
     Neither counts its values at run time (``zip(..., strict=True)`` would
-    add about a third to the cost of building a value); the hygiene tests
-    check each call's count against ``__slots__`` instead.
+    add about a quarter to the cost of building a value):
+    ``tests/test_hygiene.py`` checks each call's count against the
+    ``__slots__`` it writes instead.
     Equality (only with values of the same class), hash, ``repr`` and the
     refusals to assign or delete follow from the fields as a frozen
     dataclass's do; the refusals raise ``dataclasses.FrozenInstanceError``,

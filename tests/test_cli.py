@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -282,6 +284,15 @@ class TestFlags:
                 code, out, _ = run(capsys, [command, "--json", *pair])
                 assert code == 0 and json.loads(out)["matchings" if command == "matchings" else "certificate"]
         assert format_term.call_count == 0
+
+    def test_json_encodes_matchings_and_refuses_other_values(self, capsys):
+        """The payload encoder converts matchings only: any other value
+        fails with json's own message, not an attribute error."""
+        args = argparse.Namespace(quiet=False, json=True)
+        spehcalc.cli._emit(args, [], {"certificate": Matching()})
+        assert json.loads(capsys.readouterr().out) == {"certificate": Matching().to_json_dict()}
+        with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+            spehcalc.cli._emit(args, [], {"value": Fraction(1, 2)})
 
 
 class TestErrorChannels:
