@@ -26,11 +26,7 @@ class _Record:
     ``__init__`` checks its arguments and writes its fields in one call,
     ``_set(*values)``, which hands them in slot order to ``_setters`` (the
     slots' own writers, which get past the ``__setattr__`` that refuses
-    every assignment); only ``_set`` and ``_Value._freeze`` read them.
-    Neither counts its values at run time (``zip(..., strict=True)`` would
-    add about a quarter to the cost of building a value):
-    ``tests/test_hygiene.py`` checks each call's count against the
-    ``__slots__`` it writes instead.
+    every assignment) and refuses a count that differs from the slots'.
     Equality (only with values of the same class), hash, ``repr`` and the
     refusals to assign or delete follow from the fields as a frozen
     dataclass's do; the refusals raise ``dataclasses.FrozenInstanceError``,
@@ -50,7 +46,7 @@ class _Record:
         cls.__match_args__ = cls.__slots__
 
     def _set(self, *values: object) -> None:
-        for write, value in zip(self._setters, values):
+        for write, value in zip(self._setters, values, strict=True):
             write(self, value)
 
     def _fields(self) -> tuple:
@@ -87,20 +83,16 @@ class _Value(_Record):
     ints and strings (or of tuples of them), holding no value: the cheap
     values that parsing and the searches build by the thousand.
 
-    A subclass's ``__init__`` makes one call, ``_freeze(sort_key,
-    *values)``, which writes the fields as ``_set`` does, then the key and
-    its hash, computed there, once.  As the key is flat, equality and
-    hashing never call into a nested value.  ``_freeze`` repeats ``_set``'s
-    loop rather than calling it: the second call would make a three-field
-    value about half again as dear to build (1.56 against 1.05 us on an
-    x86_64 host under CPython 3.11).
+    A subclass's ``__init__`` unpacks ``_setters`` and writes each field
+    itself, then calls ``_freeze`` with its ``sort_key``, whose hash is
+    computed there, once.  As the key is flat, equality and hashing never
+    call into a nested value.  Values skip ``_set``: its loop made the
+    decide benchmark about 4 % slower, in 9 of 10 alternating runs.
     """
 
     __slots__ = ("sort_key", "_hash")
 
-    def _freeze(self, sort_key: tuple, *values: object) -> None:
-        for write, value in zip(self._setters, values):
-            write(self, value)
+    def _freeze(self, sort_key: tuple) -> None:
         _set_sort_key(self, sort_key)
         _set_hash(self, hash(sort_key))
 
@@ -129,7 +121,9 @@ class HalfInt(_Value):
     __slots__ = ("doubled",)
 
     def __init__(self, doubled: int) -> None:
-        self._freeze((doubled,), doubled)
+        (set_doubled,) = self._setters
+        set_doubled(self, doubled)
+        self._freeze((doubled,))
 
     @staticmethod
     def of(value: int) -> HalfInt:
@@ -194,7 +188,10 @@ class CuspidalSymbol(_Value):
             raise ValueError("cuspidal symbol id must be non-empty")
         if degree < 1:
             raise ValueError(f"cuspidal symbol degree must be >= 1, got {degree}")
-        self._freeze((id, degree), id, degree)
+        set_id, set_degree = self._setters
+        set_id(self, id)
+        set_degree(self, degree)
+        self._freeze((id, degree))
 
 
 class TwistedCuspidal(_Value):
@@ -203,7 +200,10 @@ class TwistedCuspidal(_Value):
     __slots__ = ("symbol", "exponent")
 
     def __init__(self, symbol: CuspidalSymbol, exponent: HalfInt) -> None:
-        self._freeze((symbol.id, symbol.degree, exponent.doubled), symbol, exponent)
+        set_symbol, set_exponent = self._setters
+        set_symbol(self, symbol)
+        set_exponent(self, exponent)
+        self._freeze((symbol.id, symbol.degree, exponent.doubled))
 
     def same_line(self, other: TwistedCuspidal) -> bool:
         """True when both twists lie in one cuspidal line: equal symbols
@@ -351,7 +351,11 @@ class SpehDatum(_Value):
     def __init__(self, rho: CuspidalSymbol, a: int, b: int) -> None:
         if a < 1 or b < 1:
             raise ValueError(f"Speh dimensions must be >= 1, got ({a}, {b})")
-        self._freeze((rho.id, rho.degree, a, b), rho, a, b)
+        set_rho, set_a, set_b = self._setters
+        set_rho(self, rho)
+        set_a(self, a)
+        set_b(self, b)
+        self._freeze((rho.id, rho.degree, a, b))
 
     @property
     def degree(self) -> int:

@@ -75,7 +75,11 @@ class MatchedPair(_Value):
     def __init__(self, left: SpehDatum, right: SpehDatum, family: MoveFamily) -> None:
         if not family.compatible(left, right):
             raise ValueError(f"terms ({left}, {right}) are not an {family.value} pair")
-        self._freeze((left.sort_key, family._value_, right.sort_key), left, right, family)
+        set_left, set_right, set_family = self._setters
+        set_left(self, left)
+        set_right(self, right)
+        set_family(self, family)
+        self._freeze((left.sort_key, family._value_, right.sort_key))
 
 
 class Matching(_Value):
@@ -94,10 +98,11 @@ class Matching(_Value):
         dropped_left: Iterable[SpehDatum] = (),
         dropped_right: Iterable[SpehDatum] = (),
     ) -> None:
-        fields = pairs, left, right = [
-            tuple(sorted(field, key=_by_sort_key)) for field in (pairs, dropped_left, dropped_right)
-        ]
-        self._freeze(tuple(tuple(map(_by_sort_key, field)) for field in fields), pairs, left, right)
+        set_pairs, set_left, set_right = self._setters
+        set_pairs(self, tuple(sorted(pairs, key=_by_sort_key)))
+        set_left(self, tuple(sorted(dropped_left, key=_by_sort_key)))
+        set_right(self, tuple(sorted(dropped_right, key=_by_sort_key)))
+        self._freeze(tuple(tuple(map(_by_sort_key, field)) for field in self._key(self)))
 
     def validate(self, a1: ArthurParameter, a2: ArthurParameter) -> None:
         """Check this matching against the pair it claims to decompose:

@@ -883,6 +883,15 @@ class TestValueContract:
     def test_match_args_are_the_fields(self, value, equal, fields, text):
         assert type(value).__match_args__ == tuple(fields)
 
+    def test_field_writer_refuses_a_wrong_count(self):
+        """``_Record._set`` writes one value per slot and refuses any other count."""
+        span = object.__new__(SourceSpan)
+        for values, message in (((1,), "shorter"), ((1, 2, 3), "longer")):
+            with pytest.raises(ValueError, match=f"^zip\\(\\) argument 2 is {message} than argument 1$"):
+                span._set(*values)
+        span._set(1, 2)
+        assert span == SourceSpan(1, 2)
+
     def test_default_construction(self):
         assert Matching() == Matching((), (), ()) == Matching(pairs=(), dropped_left=(), dropped_right=())
         assert repr(Matching()) == "Matching(pairs=(), dropped_left=(), dropped_right=())"
