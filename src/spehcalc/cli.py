@@ -148,7 +148,11 @@ def _cmd_csupp(args: argparse.Namespace) -> int:
 def _cmd_jacquet(args: argparse.Namespace) -> int:
     segment = parse_segment(args.segment)
     side = STANDARD if args.side == "std" else OPPOSITE
-    result = jacquet(args.kind, side, segment, args.split)
+    try:
+        result = jacquet(args.kind, side, segment, args.split)
+    except ValueError as exc:  # the split out of range: the one refusal user input reaches
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if result.is_zero:
         _emit(args, ["0"], {"zero": True})
     else:
@@ -287,9 +291,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except ValueError as exc:  # bad argument values, e.g. split out of range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # a fault of the program, e.g. an input too large to index
         # some exceptions (MemoryError) carry no message: name the class instead
         print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -28,14 +28,18 @@ class _Record:
     slot order to ``_setters`` (the slots' own writers, which get past the
     ``__setattr__`` that refuses every assignment) and refuses a count
     that differs from the slots'.
-    Equality (only with values of the same class), hash, ``repr`` and the
-    refusals to assign or delete follow from the fields as a frozen
-    dataclass's do; the refusals raise ``dataclasses.FrozenInstanceError``,
-    imported only then.  ``__reduce__`` rebuilds a value through its
-    constructor, so pickle and copy work.  Unlike a dataclass, defining a
-    subclass generates no code, so importing this package never loads
-    ``dataclasses``; ``dataclasses.fields``, ``replace`` and ``asdict`` do
-    not apply to these values.
+    Equality (only with values of the same class) and hash compare and
+    hash the record's key, ``_key(record)``: its fields, or the slots
+    that a class attribute ``_key_slots`` names (``_Value``'s
+    ``sort_key``, ``_ByLines``'s ``_lines``); no subclass defines its
+    own.  ``repr`` and the refusals to assign or delete follow from the
+    fields as a frozen dataclass's do; the refusals raise
+    ``dataclasses.FrozenInstanceError``, imported only then.
+    ``__reduce__`` rebuilds a value through its constructor, so pickle
+    and copy work.  Unlike a dataclass, defining a subclass generates no
+    code, so importing this package never loads ``dataclasses``;
+    ``dataclasses.fields``, ``replace`` and ``asdict`` do not apply to
+    these values.
     """
 
     __slots__ = ()
@@ -43,7 +47,8 @@ class _Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-        cls._key = attrgetter(*cls.__slots__)  # the field, or a tuple of the fields
+        # The key slot, or a tuple of the key slots.
+        cls._key = attrgetter(*getattr(cls, "_key_slots", cls.__slots__))
         cls.__match_args__ = cls.__slots__
 
     def _set(self, *values: object) -> None:
@@ -80,35 +85,27 @@ class _Record:
 
 
 class _Value(_Record):
-    """A record that is equal, hashes and sorts by a flat ``sort_key`` of
-    ints and strings (or of tuples of them), holding no value: the cheap
-    values that parsing and the searches build by the thousand.
+    """A record whose key is a flat ``sort_key`` of ints and strings (or
+    of tuples of them), holding no value: the cheap values that parsing
+    and the searches build by the thousand.  They are equal, hash and
+    sort by it.
 
     A subclass's ``__init__`` unpacks ``_setters`` and writes each field
-    itself, then calls ``_freeze`` with its ``sort_key``, whose hash is
-    computed there, once.  As the key is flat, equality and hashing never
-    call into a nested value.  Values skip ``_set``, as its loop makes a
-    three-field value half again as dear to build (1.05 against 0.70 us
-    on an x86_64 host under CPython 3.11).
+    itself, then calls ``_freeze`` with its ``sort_key``, built there
+    once; its hash is taken from it when asked.  As the key is flat,
+    equality and hashing never call into a nested value.  Values skip
+    ``_set``, as its loop makes a three-field value half again as dear to
+    build (1.05 against 0.70 us on an x86_64 host under CPython 3.11).
     """
 
-    __slots__ = ("sort_key", "_hash")
+    __slots__ = ("sort_key",)
+    _key_slots = ("sort_key",)
 
     def _freeze(self, sort_key: tuple) -> None:
         _set_sort_key(self, sort_key)
-        _set_hash(self, hash(sort_key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sort_key == other.sort_key
 
 
 _set_sort_key = _Value.sort_key.__set__
-_set_hash = _Value._hash.__set__
 _by_sort_key = attrgetter("sort_key")
 
 
@@ -217,10 +214,10 @@ class TwistedCuspidal(_Value):
 
 
 class _ByLines(_Record):
-    """A record that is equal and hashes by a hidden ``_lines``: one
-    ``(symbol, keys, sums)`` triple per cuspidal symbol, in canonical
-    order, the keys (ints, or tuples of ints) strictly increasing and the
-    int sums nonzero.
+    """A record whose key is a hidden ``_lines``: one ``(symbol, keys,
+    sums)`` triple per cuspidal symbol, in canonical order, the keys
+    (ints, or tuples of ints) strictly increasing and the int sums
+    nonzero.
 
     Like ``_Value``'s key, ``_lines`` is no field: it is not in the
     subclass's ``__slots__``, ``__match_args__`` or ``repr``.  Comparing
@@ -231,6 +228,7 @@ class _ByLines(_Record):
     """
 
     __slots__ = ("_lines",)
+    _key_slots = ("_lines",)
 
     @classmethod
     def _from_lines(cls, lines: tuple[_LineTriple, ...]) -> _ByLines:
@@ -250,14 +248,6 @@ class _ByLines(_Record):
 
     def __reduce__(self) -> tuple:
         return self._from_lines, (self._lines,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._lines == other._lines
-
-    def __hash__(self) -> int:
-        return hash(self._lines)
 
     def __len__(self) -> int:
         return sum(map(sum, map(_third, self._lines)))

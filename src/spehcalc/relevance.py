@@ -102,7 +102,7 @@ class Matching(_Value):
         set_pairs(self, tuple(sorted(pairs, key=_by_sort_key)))
         set_left(self, tuple(sorted(dropped_left, key=_by_sort_key)))
         set_right(self, tuple(sorted(dropped_right, key=_by_sort_key)))
-        self._freeze(tuple(tuple(map(_by_sort_key, field)) for field in self._key(self)))
+        self._freeze(tuple(tuple(map(_by_sort_key, field)) for field in self._fields()))
 
     def validate(self, a1: ArthurParameter, a2: ArthurParameter) -> None:
         """Check this matching against the pair it claims to decompose:

@@ -11,6 +11,7 @@ from .core import (
     CuspidalSymbol,
     HalfInt,
     SpehDatum,
+    _canonical_lines,
     _Record,
     half_range,
 )
@@ -116,11 +117,9 @@ def az_dual_speh(s: SpehDatum) -> SpehDatum:
 def az_dual_param(param: ArthurParameter) -> ArthurParameter:
     """Termwise Aubert-Zelevinsky involution, on param's lines: each
     distinct (a, b) becomes (b, a) with its copies, re-sorted."""
-    lines = []
-    for rho, keys, counts in param._lines:
-        dual_keys, dual_counts = zip(*sorted(zip([(b, a) for a, b in keys], counts)))
-        lines.append((rho, dual_keys, dual_counts))
-    return ArthurParameter._from_lines(tuple(lines))
+    return ArthurParameter._from_lines(_canonical_lines(
+        (rho, (b, a), n) for rho, keys, counts in param._lines for (a, b), n in zip(keys, counts)
+    ))
 
 
 def speh_level(s: SpehDatum) -> int:

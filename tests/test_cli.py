@@ -364,6 +364,17 @@ class TestErrorChannels:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_internal_value_error_exit_4(self, capsys, monkeypatch):
+        # a ValueError raised inside the library is a fault, not a usage error
+        def boom(param):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("spehcalc.relevance.diagonal_restriction", boom)
+        code, out, err = run(capsys, ["samegroup", "triv(4)", "st(4)"])
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: boom\n"
+
     def test_input_too_large_to_index_exit_4(self, capsys):
         code, out, err = run(capsys, ["csupp", "u(rho;99999999999999999999,1)"])
         assert code == 4

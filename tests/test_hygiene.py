@@ -1,6 +1,7 @@
 """Code hygiene: every definition in the package is used somewhere, the
-package imports nothing outside the standard library, and the CLI reads
-only the package's public names.
+package imports nothing outside the standard library, the CLI reads
+only the package's public names, and only the base record defines
+equality and hash.
 
 A definition counts as used when its name is read (as a bare name, an
 attribute or an imported name) in ``src/``, ``tests/`` or ``bench/``
@@ -11,11 +12,14 @@ properties, dunders aside, must be read as ``.name``.
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import sys
 from collections import Counter
 from pathlib import Path
 
 import spehcalc
+from spehcalc.core import _Record
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spehcalc"
@@ -139,3 +143,25 @@ def test_only_values_unpack_the_field_writers():
         and "_Value" not in [getattr(base, "id", None) for base in getattr(node, "bases", ())]
     ]
     assert readers == []
+
+
+def test_only_the_base_record_defines_equality_and_hash():
+    """Every record is equal and hashes by its key through ``_Record``
+    (the key chosen by ``_key_slots``): no record class in the package
+    defines ``__eq__`` or ``__hash__`` of its own."""
+    for module in pkgutil.iter_modules(spehcalc.__path__):
+        importlib.import_module(f"spehcalc.{module.name}")
+    records, todo = [], [_Record]
+    while todo:
+        cls = todo.pop()
+        records.append(cls)
+        todo += cls.__subclasses__()
+    own = sorted(
+        f"{cls.__qualname__}.{name}"
+        for cls in records
+        if cls is not _Record and cls.__module__.startswith("spehcalc.")
+        for name in ("__eq__", "__hash__")
+        if name in cls.__dict__
+    )
+    assert len(records) > 10
+    assert own == []
