@@ -256,13 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("minus", _cmd_minus, "termwise Arthur step down, reporting drops", ["expr"])
     add("csupp", _cmd_csupp, "cuspidal support multiset", ["expr"])
 
-    p = sub.add_parser("jacquet", help="Jacquet module of a segment representation")
+    p = add("jacquet", _cmd_jacquet, "Jacquet module of a segment representation", [])
     p.add_argument("kind", choices=["Z", "Q"])
     p.add_argument("side", choices=["std", "opp"])
     p.add_argument("segment")
     p.add_argument("split", type=int)
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_jacquet)
 
     add("relevant", _cmd_verdict, "relevance of a parameter pair", ["expr1", "expr2"])
     add("strong", _cmd_verdict, "strong Ext relevance of a parameter pair", ["expr1", "expr2"])

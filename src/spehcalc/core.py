@@ -23,9 +23,10 @@ class _Record:
     behave as frozen dataclasses with the same fields.
 
     A subclass lists its fields, in order, as its ``__slots__``.  Its
-    ``__init__`` checks its arguments and, unless it is a ``_Value``,
-    writes its fields in one call, ``_set(*values)``, which hands them in
-    slot order to ``_setters`` (the slots' own writers, which get past the
+    ``__init__`` checks its arguments and, unless it is one of the values
+    the searches build in bulk (see ``_Value``), writes its fields in one
+    call, ``_set(*values)``, which hands them in slot order to
+    ``_setters`` (the slots' own writers, which get past the
     ``__setattr__`` that refuses every assignment) and refuses a count
     that differs from the slots'.
     Equality (only with values of the same class) and hash compare and
@@ -86,16 +87,19 @@ class _Record:
 
 class _Value(_Record):
     """A record whose key is a flat ``sort_key`` of ints and strings (or
-    of tuples of them), holding no value: the cheap values that parsing
-    and the searches build by the thousand.  They are equal, hash and
+    of tuples of them), holding no value.  Values are equal, hash and
     sort by it.
 
-    A subclass's ``__init__`` unpacks ``_setters`` and writes each field
-    itself, then calls ``_freeze`` with its ``sort_key``, built there
-    once; its hash is taken from it when asked.  As the key is flat,
-    equality and hashing never call into a nested value.  Values skip
-    ``_set``, as its loop makes a three-field value half again as dear to
-    build (1.05 against 0.70 us on an x86_64 host under CPython 3.11).
+    A subclass's ``__init__`` writes its fields, then calls ``_freeze``
+    with its ``sort_key``, built there once; its hash is taken from it
+    when asked.  As the key is flat, equality and hashing never call into
+    a nested value.  The three values that the searches build in bulk,
+    ``SpehDatum``, ``MatchedPair`` and ``Matching`` (in
+    ``relevance._leaf`` and ``_merge``), unpack ``_setters`` and write each field
+    themselves, as ``_set``'s loop makes a three-field value half again
+    as dear to build (1.05 against 0.70 us on an x86_64 host under
+    CPython 3.11); the others, built a few times an operation at most,
+    write through ``_set``.
     """
 
     __slots__ = ("sort_key",)
@@ -120,8 +124,7 @@ class HalfInt(_Value):
     __slots__ = ("doubled",)
 
     def __init__(self, doubled: int) -> None:
-        (set_doubled,) = self._setters
-        set_doubled(self, doubled)
+        self._set(doubled)
         self._freeze((doubled,))
 
     @staticmethod
@@ -187,9 +190,7 @@ class CuspidalSymbol(_Value):
             raise ValueError("cuspidal symbol id must be non-empty")
         if degree < 1:
             raise ValueError(f"cuspidal symbol degree must be >= 1, got {degree}")
-        set_id, set_degree = self._setters
-        set_id(self, id)
-        set_degree(self, degree)
+        self._set(id, degree)
         self._freeze((id, degree))
 
 
@@ -199,9 +200,7 @@ class TwistedCuspidal(_Value):
     __slots__ = ("symbol", "exponent")
 
     def __init__(self, symbol: CuspidalSymbol, exponent: HalfInt) -> None:
-        set_symbol, set_exponent = self._setters
-        set_symbol(self, symbol)
-        set_exponent(self, exponent)
+        self._set(symbol, exponent)
         self._freeze((symbol.id, symbol.degree, exponent.doubled))
 
     def same_line(self, other: TwistedCuspidal) -> bool:
@@ -224,7 +223,8 @@ class _ByLines(_Record):
     or hashing two values reads only ints and symbols, and ``len``, unless
     the subclass overrides it, adds up the sums.  The subclass's
     one field is built from ``_lines`` by its ``_expand`` on its first
-    read and kept; pickle and copy carry ``_lines`` alone.
+    read and kept; iteration, unless the subclass overrides it, runs over
+    that field, and pickle and copy carry ``_lines`` alone.
     """
 
     __slots__ = ("_lines",)
@@ -248,6 +248,9 @@ class _ByLines(_Record):
 
     def __reduce__(self) -> tuple:
         return self._from_lines, (self._lines,)
+
+    def __iter__(self) -> Iterator:
+        return iter(getattr(self, self.__slots__[0]))
 
     def __len__(self) -> int:
         return sum(map(sum, map(_third, self._lines)))
@@ -380,9 +383,6 @@ class ArthurParameter(_ByLines):
             for (a, b), n in zip(keys, counts):
                 terms += [SpehDatum(rho, a, b)] * n
         return tuple(terms)
-
-    def __iter__(self) -> Iterator[SpehDatum]:
-        return iter(self.terms)
 
     @property
     def dim(self) -> int:

@@ -304,7 +304,8 @@ class _Parser:
     def parse_param(self) -> ArthurParameter:
         result = self.parse_param_or_rep()
         if isinstance(result, SegmentRep):
-            return ArthurParameter((self.term_to_speh(result, 0, self.tokens[self.pos - 1][3]),))
+            start, end = self.tokens[0][2], self.tokens[self.pos - 1][3]
+            return ArthurParameter((self.term_to_speh(result, start, end),))
         return result
 
     # supports
@@ -402,26 +403,32 @@ def format_symbol(symbol: CuspidalSymbol) -> str:
     return f"{symbol.id}:{symbol.degree}"
 
 
-def _format_u(symbol_text: str, a: int, b: int) -> str:
+def _format_u(symbol_text: str, ab: tuple[int, int]) -> str:
     """u(symbol_text;a,b), the canonical text of a Speh term."""
+    a, b = ab
     return f"u({symbol_text};{a},{b})"
 
 
 def format_term(s: SpehDatum) -> str:
-    return _format_u(format_symbol(s.rho), s.a, s.b)
+    return _format_u(format_symbol(s.rho), (s.a, s.b))
+
+
+def _format_lines(lines: tuple, format_key: Callable[[str, object], str], separator: str) -> str:
+    """The text of a value's lines: each symbol formatted once a line and
+    each key once, by format_key(symbol text, key), the text repeated by
+    the key's sum and the copies joined by separator."""
+    parts = []
+    for symbol, keys, sums in lines:
+        symbol_text = format_symbol(symbol)
+        parts += [(format_key(symbol_text, key) + separator) * n for key, n in zip(keys, sums)]
+    return "".join(parts)[:-len(separator)]
 
 
 def format_param(param: ArthurParameter) -> str:
-    """The canonical text, read from the parameter's lines: each symbol
-    is formatted once a line and each distinct term once, then repeated."""
-    parts = []
-    for symbol, keys, counts in param._lines:
-        symbol_text = format_symbol(symbol)
-        parts += [(_format_u(symbol_text, a, b) + " + ") * n for (a, b), n in zip(keys, counts)]
-    return "".join(parts)[:-3] or "0"
+    return _format_lines(param._lines, _format_u, " + ") or "0"
 
 
-def _format_twist(doubled: int, symbol_text: str) -> str:
+def _format_twist(symbol_text: str, doubled: int) -> str:
     if doubled == 0:
         return symbol_text
     if doubled % 2 == 0:
@@ -430,17 +437,11 @@ def _format_twist(doubled: int, symbol_text: str) -> str:
 
 
 def format_twisted(t: TwistedCuspidal) -> str:
-    return _format_twist(t.exponent.doubled, format_symbol(t.symbol))
+    return _format_twist(format_symbol(t.symbol), t.exponent.doubled)
 
 
 def format_support(support: CuspidalMultiset) -> str:
-    """The sorted twist list, read from the support's lines: each symbol
-    is formatted once a line and each run once, then repeated."""
-    parts = []
-    for symbol, exponents, mults in support._lines:
-        symbol_text = format_symbol(symbol)
-        parts += [(_format_twist(e, symbol_text) + ", ") * m for e, m in zip(exponents, mults)]
-    return "{" + "".join(parts)[:-2] + "}"
+    return "{" + _format_lines(support._lines, _format_twist, ", ") + "}"
 
 
 def format_segment(segment: Segment) -> str:

@@ -12,7 +12,7 @@ off which ``csupp_param`` also reads the cuspidal support.
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
     ArthurParameter,
@@ -83,9 +83,6 @@ class DiagonalRestriction(_ByLines):
                     for d in range(start, stop):
                         entries += [(symbol, d)] * height[d & 1]
         return tuple(entries)
-
-    def __iter__(self) -> Iterator[tuple[CuspidalSymbol, int]]:
-        return iter(self.entries)
 
     def __len__(self) -> int:
         # each entry d adds +1 at d and -1 at d+2: -2 to the sum of d * step

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -118,6 +120,20 @@ def test_readme_cli_example(capsys, command, shown):
         *shown, exit_line = shown
         assert exit_line == f"exit {code}"
     assert out.splitlines() == shown
+
+
+def test_console_script_target_runs(capsys):
+    """The ``spehcalc`` console script of pyproject.toml names a function
+    that exists and runs the CLI.  Read by a regex, as Python 3.10 has
+    no tomllib."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^spehcalc = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE).groups()
+    target = getattr(importlib.import_module(module), function)
+    with mock.patch.object(sys, "argv", ["spehcalc", "parse", "triv(3)"]):
+        with pytest.raises(SystemExit) as info:
+            target()
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "u(one;1,3)\ndim 3\n"
 
 
 @pytest.mark.parametrize("case", PARSE_ERRORS, ids=[c["name"] for c in PARSE_ERRORS])

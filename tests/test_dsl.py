@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -144,6 +147,10 @@ def span_of(text: str) -> tuple[int, int, frozenset]:
     return err.span.start, err.span.end, err.expected
 
 
+PARSE_ERRORS = json.loads((Path(__file__).parent / "golden" / "parse_errors.json").read_text(encoding="utf-8"))
+PARSERS = {f.__name__: f for f in (parse_param, parse_rep, parse_segment, parse_support)}
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "text",
@@ -169,6 +176,17 @@ class TestErrors:
         start, end, expected = span_of(text)
         assert 0 <= start <= end <= len(text)
         assert expected
+
+    @pytest.mark.parametrize("indent", [1, 3])
+    @pytest.mark.parametrize("case", PARSE_ERRORS, ids=[c["name"] for c in PARSE_ERRORS])
+    def test_leading_whitespace_shifts_the_span(self, case, indent):
+        """Whitespace put in front of any golden error's text moves its span
+        by as many characters and keeps its expected set."""
+        with pytest.raises(ParseError) as info:
+            PARSERS[case["parser"]](" " * indent + case["text"])
+        err = info.value
+        assert [err.span.start - indent, err.span.end - indent] == case["span"]
+        assert sorted(err.expected) == case["expected"]
 
     def test_error_without_expected_set_is_refused(self):
         with pytest.raises(ValueError) as info:

@@ -132,15 +132,17 @@ def test_cli_uses_only_public_names():
 
 
 def test_only_values_unpack_the_field_writers():
-    """A plain record writes its fields through ``_Record._set``; only a
-    value's constructor unpacks ``_setters`` itself (see ``core._Value``)."""
+    """A record writes its fields through ``_Record._set``; only the
+    constructors of the three values that the searches build in bulk
+    (``SpehDatum``, ``MatchedPair`` and ``Matching``, in
+    ``relevance._leaf`` and ``_merge``) unpack ``_setters`` themselves (see
+    ``core._Value``)."""
     readers = [
         f"{path.name}: {getattr(node, 'name', f'line {node.lineno}')}"
         for path, tree in MODULES.items()
         for node in tree.body
         if _reads(node)["._setters"]
-        and getattr(node, "name", None) != "_Record"
-        and "_Value" not in [getattr(base, "id", None) for base in getattr(node, "bases", ())]
+        and getattr(node, "name", None) not in ("_Record", "SpehDatum", "MatchedPair", "Matching")
     ]
     assert readers == []
 
