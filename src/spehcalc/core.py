@@ -280,7 +280,10 @@ class CuspidalMultiset(_ByLines):
 
     @classmethod
     def _of(cls, runs: Iterable[tuple[TwistedCuspidal, int]]) -> CuspidalMultiset:
-        """The multiset with these (twist, multiplicity) runs."""
+        """The multiset with these (twist, multiplicity) runs.  It stays
+        for the pickles written while a multiset was stored as its runs:
+        their ``__reduce__`` was ``(CuspidalMultiset._of, (runs,))``, so
+        they load through this name."""
         return cls._from_lines(_canonical_lines((t.symbol, t.exponent.doubled, m) for t, m in runs))
 
     def _expand(self) -> tuple[tuple[TwistedCuspidal, int], ...]:

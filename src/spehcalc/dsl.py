@@ -110,6 +110,16 @@ _U_TERMS_RE = re.compile(
 _Tok = tuple[str, str, int, int]  # (kind, text, start, end)
 
 
+def _error(message: str, start: int, end: int, *expected: str) -> ParseError:
+    """The parse error at start..end that expects each rule in expected."""
+    return ParseError(message, SourceSpan(start, end), frozenset(expected))
+
+
+def _shown(text: str) -> str:
+    """A token's text as an error names it; only the end token's is empty."""
+    return text or "end of input"
+
+
 def _tokenize(text: str) -> list[_Tok]:
     """The tokens of text, whitespace dropped, in one pass, ending with an
     ("eof", "", n, n) sentinel.  Kind is "int", "ident", "dotdot" or
@@ -126,17 +136,9 @@ def _tokenize(text: str) -> list[_Tok]:
         if kind != "ws":
             tokens.append((kind, m.group(), start, end))
     if pos != len(text):
-        raise ParseError(
-            f"unexpected character {text[pos]!r}",
-            SourceSpan(pos, pos + 1),
-            frozenset({"token"}),
-        )
+        raise _error(f"unexpected character {text[pos]!r}", pos, pos + 1, "token")
     tokens.append(("eof", "", pos, pos))
     return tokens
-
-
-def _span(tok: _Tok) -> SourceSpan:
-    return SourceSpan(tok[2], tok[3])
 
 
 class _Parser:
@@ -151,48 +153,38 @@ class _Parser:
             return True
         return False
 
-    def fail(self, tok: _Tok, rule: str, expected: set[str]) -> ParseError:
-        shown = tok[1] if tok[0] != "eof" else "end of input"
-        return ParseError(f"{rule}: unexpected {shown!r}", _span(tok), frozenset(expected))
+    def fail(self, tok: _Tok, rule: str, *expected: str) -> ParseError:
+        return _error(f"{rule}: unexpected {_shown(tok[1])!r}", tok[2], tok[3], *expected)
 
-    def expect_punct(self, text: str, rule: str) -> _Tok:
+    def expect(self, text: str, rule: str) -> _Tok:
+        """Consume the next token, which must have text text ("" at the end)."""
         tok = self.tokens[self.pos]
         if tok[1] != text:
-            raise self.fail(tok, rule, {f"'{text}'"})
+            raise self.fail(tok, rule, f"'{text}'" if text else _shown(text))
         self.pos += 1
         return tok
-
-    def expect_eof(self, rule: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            raise self.fail(tok, rule, {"end of input"})
 
     # atoms
 
     def parse_int(self, rule: str) -> tuple[int, _Tok]:
         tok = self.tokens[self.pos]
         if tok[0] != "int":
-            raise self.fail(tok, rule, {"integer"})
+            raise self.fail(tok, rule, "integer")
         self.pos += 1
         return int(tok[1]), tok
 
     def parse_positive_int(self, rule: str) -> int:
         value, tok = self.parse_int(rule)
         if value < 1:
-            raise ParseError(
-                f"{rule}: expected a positive integer, got {value}",
-                _span(tok),
-                frozenset({"positive integer"}),
-            )
+            raise _error(f"{rule}: expected a positive integer, got {value}",
+                         tok[2], tok[3], "positive integer")
         return value
 
     def parse_denominator(self, rule: str) -> None:
         """Consume a half-integer's denominator, which must be 2."""
         denom, tok = self.parse_int(rule)
         if denom != 2:
-            raise ParseError(
-                f"{rule}: denominator must be the literal 2", _span(tok), frozenset({"'2'"})
-            )
+            raise _error(f"{rule}: denominator must be the literal 2", tok[2], tok[3], "'2'")
 
     def parse_half(self) -> HalfInt:
         value, _ = self.parse_int("half-integer")
@@ -204,48 +196,39 @@ class _Parser:
     def parse_symbol(self) -> CuspidalSymbol:
         tok = self.tokens[self.pos]
         if tok[0] != "ident":
-            raise self.fail(tok, "symbol", {"identifier"})
+            raise self.fail(tok, "symbol", "identifier")
         name = tok[1]
         if name == PRODUCT_IDENT:
-            raise ParseError(
-                f"symbol: {PRODUCT_IDENT!r} is the reserved product operator",
-                _span(tok),
-                frozenset({"identifier"}),
-            )
+            raise _error(f"symbol: {PRODUCT_IDENT!r} is the reserved product operator",
+                         tok[2], tok[3], "identifier")
         self.pos += 1
         degree = self.parse_positive_int("symbol degree") if self.accept(":") else 1
         if name == TRIVIAL_LINE and degree != 1:
-            raise ParseError(
-                f"symbol: reserved symbol {TRIVIAL_LINE!r} has degree 1",
-                _span(tok),
-                frozenset({"degree 1"}),
-            )
+            raise _error(f"symbol: reserved symbol {TRIVIAL_LINE!r} has degree 1",
+                         tok[2], tok[3], "degree 1")
         return CuspidalSymbol(name, degree)
 
     def parse_segment_body(self) -> Segment:
-        open_tok = self.expect_punct("[", "segment")
+        open_tok = self.expect("[", "segment")
         a = self.parse_half()
-        self.expect_punct("..", "segment")
+        self.expect("..", "segment")
         b = self.parse_half()
-        close_tok = self.expect_punct("]", "segment")
-        self.expect_punct("{", "segment")
+        close_tok = self.expect("]", "segment")
+        self.expect("{", "segment")
         symbol = self.parse_symbol()
-        self.expect_punct("}", "segment")
+        self.expect("}", "segment")
         try:
             return Segment(symbol, a, b)
         except ValueError as exc:
-            raise ParseError(
-                f"segment: {exc}",
-                SourceSpan(open_tok[2], close_tok[3]),
-                frozenset({"b - a a non-negative integer"}),
-            ) from None
+            raise _error(f"segment: {exc}", open_tok[2], close_tok[3],
+                         "b - a a non-negative integer") from None
 
     # terms
 
     def parse_term(self) -> Union[SpehDatum, SegmentRep]:
         tok = self.tokens[self.pos]
         if tok[0] != "ident":
-            raise self.fail(tok, "term", {"'u('", "'triv('", "'st('", "'Z['", "'Q['", "symbol"})
+            raise self.fail(tok, "term", "'u('", "'triv('", "'st('", "'Z['", "'Q['", "symbol")
         name, following = tok[1], self.tokens[self.pos + 1][1]
         if following == "(" and name == "u":
             return self.parse_u_term()
@@ -259,30 +242,29 @@ class _Parser:
     def parse_u_term(self) -> SpehDatum:
         self.pos += 2  # "u" "(", checked by parse_term
         symbol = self.parse_symbol()
-        self.expect_punct(";", "Speh term")
+        self.expect(";", "Speh term")
         a = self.parse_positive_int("Speh term")
-        self.expect_punct(",", "Speh term")
+        self.expect(",", "Speh term")
         b = self.parse_positive_int("Speh term")
-        self.expect_punct(")", "Speh term")
+        self.expect(")", "Speh term")
         return SpehDatum(symbol, a, b)
 
     def parse_named_term(self, name: str) -> SpehDatum:
         self.pos += 2  # "triv" / "st" and "(", checked by parse_term
         n = self.parse_positive_int(f"{name} term")
-        self.expect_punct(")", f"{name} term")
+        self.expect(")", f"{name} term")
         one = CuspidalSymbol(TRIVIAL_LINE, 1)
         return SpehDatum(one, 1, n) if name == "triv" else SpehDatum(one, n, 1)
 
-    def term_to_speh(self, term: Union[SpehDatum, SegmentRep], start: int, end: int) -> SpehDatum:
-        """The Speh datum of a parameter term that spans start..end."""
+    def term_to_speh(self, term: Union[SpehDatum, SegmentRep], start: int) -> SpehDatum:
+        """The Speh datum of a parameter term from start to the last token read."""
         if term.__class__ is SpehDatum:
             return term
         try:
             return speh_from_segment_rep(term)
         except ValueError as exc:
-            raise ParseError(
-                f"parameter term: {exc}", SourceSpan(start, end), frozenset({"centered segment"})
-            ) from None
+            end = self.tokens[self.pos - 1][3]
+            raise _error(f"parameter term: {exc}", start, end, "centered segment") from None
 
     def parse_param_or_rep(self) -> Union[ArthurParameter, SegmentRep]:
         tokens = self.tokens
@@ -292,20 +274,18 @@ class _Parser:
         first = self.parse_term()
         if isinstance(first, SegmentRep) and tokens[self.pos][0] == "eof":
             return first
-        terms = [self.term_to_speh(first, tokens[0][2], tokens[self.pos - 1][3])]
+        terms = [self.term_to_speh(first, tokens[0][2])]
         while tokens[self.pos][1] in ("+", PRODUCT_IDENT):
             self.pos += 1
             start = tokens[self.pos][2]
-            term = self.parse_term()
-            terms.append(self.term_to_speh(term, start, tokens[self.pos - 1][3]))
-        self.expect_eof("parameter")
+            terms.append(self.term_to_speh(self.parse_term(), start))
+        self.expect("", "parameter")
         return ArthurParameter(tuple(terms))
 
     def parse_param(self) -> ArthurParameter:
         result = self.parse_param_or_rep()
         if isinstance(result, SegmentRep):
-            start, end = self.tokens[0][2], self.tokens[self.pos - 1][3]
-            return ArthurParameter((self.term_to_speh(result, start, end),))
+            return ArthurParameter((self.term_to_speh(result, self.tokens[0][2]),))
         return result
 
     # supports
@@ -319,23 +299,23 @@ class _Parser:
                 exponent = HalfInt.of(int(exp_tok[1]))
             elif self.accept("("):
                 numer, _ = self.parse_int("twist exponent")
-                self.expect_punct("/", "twist exponent")
+                self.expect("/", "twist exponent")
                 self.parse_denominator("twist exponent")
-                self.expect_punct(")", "twist exponent")
+                self.expect(")", "twist exponent")
                 exponent = HalfInt(numer)
             else:
-                raise self.fail(exp_tok, "twist exponent", {"integer", "'('"})
+                raise self.fail(exp_tok, "twist exponent", "integer", "'('")
             return TwistedCuspidal(self.parse_symbol(), exponent)
         return TwistedCuspidal(self.parse_symbol(), HalfInt(0))
 
     def parse_support_body(self) -> CuspidalMultiset:
-        self.expect_punct("{", "support")
+        self.expect("{", "support")
         if self.accept("}"):
             return CuspidalMultiset(())
         entries = [self.parse_twisted()]
         while self.accept(","):
             entries.append(self.parse_twisted())
-        self.expect_punct("}", "support")
+        self.expect("}", "support")
         return CuspidalMultiset(tuple(entries))
 
 
@@ -382,7 +362,7 @@ def parse_segment(text: str) -> Segment:
     """Parse a bare segment ``[a..b]{symbol}``."""
     parser = _Parser(text)
     segment = parser.parse_segment_body()
-    parser.expect_eof("segment")
+    parser.expect("", "segment")
     return segment
 
 
@@ -390,7 +370,7 @@ def parse_support(text: str) -> CuspidalMultiset:
     """Parse a cuspidal support multiset ``{nu^e sym, ...}``."""
     parser = _Parser(text)
     support = parser.parse_support_body()
-    parser.expect_eof("support")
+    parser.expect("", "support")
     return support
 
 

@@ -45,10 +45,22 @@ class MoveFamily(Enum):
         return SpehDatum(left.rho, a, b) if a and b else None
 
     def compatible(self, left: SpehDatum, right: SpehDatum) -> bool:
-        """Whether this family pairs ``left`` with ``right``: compared by
-        their (a, b) keys and their symbols' sort keys, with no term built."""
-        a, b = _partner_keys(left.a, left.b)[_KEY_INDEX[self._value_]]
-        return right.a == a and right.b == b and right.rho.sort_key == left.rho.sort_key
+        """Whether this family pairs ``left`` with ``right``: its equation in
+        ``_EQUATIONS`` on their (a, b), and their symbols' sort keys."""
+        return (_EQUATIONS[self._value_](left.a, left.b, right.a, right.b)
+                and right.rho.sort_key == left.rho.sort_key)
+
+
+# Whether each family pairs a left u(c, d) with a right u(a, b), spelled out
+# apart from the search's ``_partner_keys``, so that a certificate is checked
+# independently of the search that built it.  No term has a zero, so a step
+# down from Arthur dimension 1 pairs with nothing.
+_EQUATIONS = {
+    "F1": lambda c, d, a, b: a == c and b == d - 1,
+    "F2": lambda c, d, a, b: a == c and b == d + 1,
+    "F3": lambda c, d, a, b: a == d - 1 and b == c,
+    "F4": lambda c, d, a, b: a == d and b == c + 1,
+}
 
 
 def _partner_keys(a: int, b: int) -> tuple:

@@ -367,6 +367,21 @@ class TestErrorChannels:
         assert err.startswith("internal error: deciders disagree")
         assert err.count("\n") == 1
 
+    def test_a_wrong_partner_table_exits_4(self, capsys, monkeypatch):
+        # With F3 and F4 swapped in the search's table, the matcher pairs
+        # triv(3) with st(2) as F4; the family's own equation refuses that
+        # pair when its certificate is built, so no wrong certificate is
+        # printed as a verdict.
+        def swapped(a, b):
+            return (a, b - 1), (a, b + 1), (b, a + 1), (b - 1, a)
+
+        monkeypatch.setattr("spehcalc.relevance._partner_keys", swapped)
+        for command in (["strong"], ["ext"], ["ext", "--decider", "matcher"], ["strong", "--json"]):
+            code, out, err = run(capsys, command + ["triv(3)", "st(2)"])
+            assert (code, out) == (4, "")
+            assert err.startswith("internal error: terms (")
+            assert err.endswith(") are not an F4 pair\n")
+
     def test_support_restriction_disagreement_exit_4(self, capsys, monkeypatch):
         # a fault inside the same-support comparison is reported, never read as a verdict
         def boom(param):

@@ -396,6 +396,17 @@ def uncentered_segments():
     )
 
 
+class _ParentSupportPickle:
+    """Pickles as a support did when it was stored as its runs: the
+    classmethod ``CuspidalMultiset._of`` called on the canonical runs."""
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    def __reduce__(self):
+        return CuspidalMultiset._of, (self.runs,)
+
+
 class TestSupportLines:
     @settings(max_examples=40, deadline=None)
     @given(small_params(), st.lists(uncentered_segments(), min_size=1, max_size=4),
@@ -403,7 +414,9 @@ class TestSupportLines:
     def test_every_construction_gives_one_value(self, param, segments, rng):
         """Supports built every way from the same twists are the same
         value: equal, with equal hashes, reprs and runs, and with the
-        summaries of the twists one by one."""
+        summaries of the twists one by one.  The ways include pickle at
+        every protocol, and the form pickles had when supports were stored
+        as their runs."""
         expanded = [t for s in param for t in speh_twists(s)]
         expanded += [TwistedCuspidal(seg.rho, e) for seg in segments for e in seg.exponents()]
         expanded.sort(key=lambda t: t.sort_key)
@@ -425,6 +438,7 @@ class TestSupportLines:
         ]
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             values.append(pickle.loads(pickle.dumps(built(), protocol)))
+            values.append(pickle.loads(pickle.dumps(_ParentSupportPickle(first.runs), protocol)))
         values += [copy.copy(built()), copy.deepcopy(built())]
         for value in values:
             assert_summaries_match(value, expanded)

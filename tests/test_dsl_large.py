@@ -6,15 +6,28 @@ errors, and read such texts without the plain stream."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spehcalc import ArthurParameter, CuspidalSymbol, ParseError, SpehDatum, format_param, parse_param, parse_rep
+from spehcalc import (
+    ArthurParameter,
+    CuspidalSymbol,
+    ParseError,
+    SpehDatum,
+    format_param,
+    parse_param,
+    parse_rep,
+    parse_segment,
+    parse_support,
+)
 from spehcalc import dsl
 
 # Names include the keywords that are plain symbols when not followed by
@@ -201,3 +214,68 @@ def test_canonical_texts_never_reach_the_plain_stream(n, seed):
         for text in texts:
             assert parse_param(text) == param
             assert parse_rep(text) == param
+
+
+# Every parser's outcomes, pinned by one digest
+
+def spaced(tokens: list[str], rng: random.Random) -> str:
+    return "".join(rng.choice(SPACES) + tok for tok in tokens) + rng.choice(SPACES)
+
+
+def segment_text(rng: random.Random) -> str:
+    """A segment, or a Z/Q segment rep in a fifth of the draws; in about
+    a fifth, its ends are a non-integer or a negative step apart."""
+    a = rng.randint(-9, 9)
+    b = a + 2 * rng.randint(0, 6) + (rng.random() < 0.1) - 3 * (rng.random() < 0.1)
+    symbol = rng.choice(NAMES) + (f":{rng.randint(1, 3)}" if rng.random() < 0.3 else "")
+    tokens = ["[", *half_tokens(a), "..", *half_tokens(b), "]", "{", symbol, "}"]
+    return spaced([rng.choice("ZQ")] + tokens if rng.random() < 0.2 else tokens, rng)
+
+
+def support_text(rng: random.Random) -> str:
+    """A support of zero to four twisted cuspidals, twists whole or half."""
+    entries = []
+    for _ in range(rng.randint(0, 4)):
+        doubled = rng.randint(-7, 7)
+        twist = [] if doubled == 0 else ["nu", "^", str(doubled // 2)] if doubled % 2 == 0 \
+            else ["nu", "^", "(", str(doubled), "/", "2", ")"]
+        entries.append(twist + [rng.choice(NAMES)])
+    tokens = ["{"] + [tok for i, entry in enumerate(entries) for tok in ([","] if i else []) + entry] + ["}"]
+    return spaced(tokens, rng)
+
+
+def digest_texts(seed: int) -> list[str]:
+    """A spelled parameter, a segment and a support of one seed, each with
+    four one-edit variants of it."""
+    rng = random.Random(seed)
+    texts = []
+    for text in (spell(random_terms(rng, rng.randint(1, 4)), rng), segment_text(rng), support_text(rng)):
+        texts += [text] + [mutated(text, rng) for _ in range(4)]
+    return texts
+
+
+def parser_outcomes(seeds: int) -> dict:
+    """parse_param, parse_rep, parse_segment and parse_support on the
+    ``digest_texts`` of seeds 0 to seeds - 1: the number of calls and of
+    errors, and a digest of each value's repr, or each error's text, span
+    and sorted expected set, in order."""
+    lines, errors = [], 0
+    for seed in range(seeds):
+        for text in digest_texts(seed):
+            for parse in (parse_param, parse_rep, parse_segment, parse_support):
+                try:
+                    lines.append(repr(parse(text)))
+                except ParseError as err:
+                    errors += 1
+                    lines.append(repr((str(err), err.span.start, err.span.end, sorted(err.expected))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return {"seeds": seeds, "calls": len(lines), "errors": errors, "sha256": digest}
+
+
+def test_parser_outcomes_match_their_digest():
+    """Seeds 0-299: 4500 texts, 18 000 calls, most of them errors.  The
+    digest was taken before the plain stream built its errors through one
+    constructor; any change to a value, message, span or expected set
+    moves it."""
+    golden = Path(__file__).parent / "golden" / "parser_outcomes.json"
+    assert parser_outcomes(300) == json.loads(golden.read_text(encoding="utf-8"))

@@ -1,7 +1,8 @@
 """Code hygiene: every definition in the package is used somewhere, the
 package imports nothing outside the standard library, the CLI reads
-only the package's public names, and only the base record defines
-equality and hash.
+only the package's public names, only the base record defines equality
+and hash, and family compatibility is checked apart from the search's
+partner table.
 
 A definition counts as used when its name is read (as a bare name, an
 attribute or an imported name) in ``src/``, ``tests/`` or ``bench/``
@@ -145,6 +146,24 @@ def test_only_values_unpack_the_field_writers():
         and getattr(node, "name", None) not in ("_Record", "SpehDatum", "MatchedPair", "Matching")
     ]
     assert readers == []
+
+
+def test_compatibility_is_checked_apart_from_the_partner_table():
+    """``MoveFamily.compatible``, which every ``MatchedPair`` and
+    ``Matching.validate`` check a certificate by, spells out the family
+    equations (``relevance._EQUATIONS``); it reads neither
+    ``_partner_keys`` nor ``_KEY_INDEX``, which the search finds partners
+    by, so a fault in that table cannot pass its own check."""
+    tree = MODULES[PACKAGE / "relevance.py"]
+    family = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "MoveFamily")
+    compatible = next(n for n in family.body if isinstance(n, ast.FunctionDef) and n.name == "compatible")
+    equations = next(
+        n for n in tree.body
+        if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "_EQUATIONS" for t in n.targets)
+    )
+    reads = _reads(compatible) + _reads(equations)
+    assert reads["_EQUATIONS"] == 1
+    assert reads["_partner_keys"] == reads["_KEY_INDEX"] == 0
 
 
 def test_only_the_base_record_defines_equality_and_hash():
