@@ -4,10 +4,12 @@ Every decision procedure is exposed as a subcommand whose verdict is the
 exit code: 0 for a true verdict (or plain success), 1 for a false
 verdict, 2 for usage or parse errors, 3 for a violated theorem
 hypothesis, 4 for an internal error (so that no failure reads as a
-verdict).  ``--json`` switches the output to machine-readable form and
-``--quiet`` suppresses stdout entirely, leaving the exit code as the sole
-verdict channel.  A reader that closes stdout early does not change the
-exit code either.
+verdict).  Every certificate is checked against its pair, under the
+verdict's move families, before anything is printed: one that fails is
+an internal error.  ``--json`` switches the output to machine-readable
+form and ``--quiet`` suppresses stdout entirely, leaving the exit code as
+the sole verdict channel.  A reader that closes stdout early does not
+change the exit code either.
 """
 
 from __future__ import annotations
@@ -172,27 +174,31 @@ def _report(args: argparse.Namespace, verdict: bool, certificate: Optional[Match
     return _verdict_exit(verdict)
 
 
-# command -> (certificate of a parameter pair or None, true line, false line)
+# command -> (the verdict's move families, true line, false line)
 _VERDICTS = {
-    "relevant": (lambda a1, a2: find_matching(a1, a2, GGP_FAMILIES), "relevant", "not relevant"),
-    "strong": (
-        lambda a1, a2: find_matching(a1, a2, STRONG_FAMILIES),
-        "strong ext relevant",
-        "not strong ext relevant",
-    ),
-    "hom": (lambda a1, a2: hom_branch_arthur(a1, a2).certificate, "Hom != 0", "Hom = 0"),
+    "relevant": (GGP_FAMILIES, "relevant", "not relevant"),
+    "strong": (STRONG_FAMILIES, "strong ext relevant", "not strong ext relevant"),
+    "hom": (GGP_FAMILIES, "Hom != 0", "Hom = 0"),
 }
 
 
 def _cmd_verdict(args: argparse.Namespace) -> int:
-    certify, true_line, false_line = _VERDICTS[args.command]
-    certificate = certify(parse_param(args.expr1), parse_param(args.expr2))
+    families, true_line, false_line = _VERDICTS[args.command]
+    a1, a2 = parse_param(args.expr1), parse_param(args.expr2)
+    if args.command == "hom":
+        certificate = hom_branch_arthur(a1, a2).certificate
+    else:
+        certificate = find_matching(a1, a2, families)
+    if certificate is not None:
+        certificate.validate(a1, a2, families)
     return _report(args, certificate is not None, certificate, true_line, false_line)
 
 
 def _cmd_matchings(args: argparse.Namespace) -> int:
     a1, a2 = parse_param(args.expr1), parse_param(args.expr2)
     matchings = enumerate_strong_matchings(a1, a2)
+    for matching in matchings:
+        matching.validate(a1, a2, STRONG_FAMILIES)
     lines = chain([f"{len(matchings)} matching(s)"], *(
         _matching_lines(f"matching {index}:", matching) for index, matching in enumerate(matchings, start=1)
     ))
@@ -205,6 +211,8 @@ def _cmd_ext(args: argparse.Namespace) -> int:
     certificate = None
     if args.decider != "recursive":
         certificate = ext_branch_segment_type(a1, a2).certificate
+        if certificate is not None:
+            certificate.validate(a1, a2, STRONG_FAMILIES)
     verdict = certificate is not None
     if args.decider != "matcher":
         recursive = ext_branch_recursive(a1, a2)

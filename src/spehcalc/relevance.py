@@ -116,11 +116,14 @@ class Matching(_Value):
         set_right(self, tuple(sorted(dropped_right, key=_by_sort_key)))
         self._freeze(tuple(tuple(map(_by_sort_key, field)) for field in self._fields()))
 
-    def validate(self, a1: ArthurParameter, a2: ArthurParameter) -> None:
+    def validate(self, a1: ArthurParameter, a2: ArthurParameter,
+                 families: tuple[MoveFamily, ...] = STRONG_FAMILIES) -> None:
         """Check this matching against the pair it claims to decompose:
-        exact reconstruction of both multisets, family compatibility of
-        every pair, and the Arthur-dim-1 drop rule.  The terms are counted
-        by their sort keys, against the parameters' lines."""
+        exact reconstruction of both multisets, every pair's family among
+        ``families`` (the verdict's: ``GGP_FAMILIES`` for Hom and
+        relevance, ``STRONG_FAMILIES`` for Ext) and compatible with the
+        pair, and the Arthur-dim-1 drop rule.  The terms are counted by
+        their sort keys, against the parameters' lines."""
         left = Counter(map(_left_key, self.pairs))
         left.update(map(_by_sort_key, self.dropped_left))
         right = Counter(map(_right_key, self.pairs))
@@ -128,6 +131,9 @@ class Matching(_Value):
         if dict(left) != _term_counts(a1) or dict(right) != _term_counts(a2):
             raise ValueError("matching does not reconstruct the parameter pair")
         for p in self.pairs:
+            if p.family not in families:
+                allowed = ", ".join(f.value for f in families)
+                raise ValueError(f"pair {p} uses family {p.family.value}, not one of {allowed}")
             if not p.family.compatible(p.left, p.right):
                 raise ValueError(f"pair {p} violates family {p.family.value}")
         for s in self.dropped_left + self.dropped_right:

@@ -4,10 +4,8 @@ pass/fail line through the conftest summary hook."""
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -17,8 +15,6 @@ from spehcalc import (
     CuspidalSymbol,
     HalfInt,
     HypothesisError,
-    Matching,
-    MatchedPair,
     MoveFamily,
     Segment,
     SegmentRep,
@@ -57,13 +53,7 @@ from _gen import (
     support_preserving_variant,
 )
 from _oracles import oracle_matchings
-
-ONE = CuspidalSymbol("one")
-RHO = CuspidalSymbol("rho")
-CHI = CuspidalSymbol("chi")
-
-TRIV3 = parse_param("triv(3)")
-ST2 = parse_param("st(2)")
+from _fixtures import EXIT_CODES, GL13_GL12, GL13_GL12_MATCHINGS, GOLDEN, GOLDEN_ARGV, SIGN_PATTERNS, ST2, TRIV3
 
 
 class _Stopwatch:
@@ -131,26 +121,12 @@ def test_c04_two_matchings_for_gl13_gl12_pair():
     They are precisely the Arthur-step one and the dual-step one, with
     the count confirmed by brute force; within 50 ms.
     """
-    a1 = parse_param("u(one;1,7) + u(one;5,1) + chi")
-    a2 = parse_param("u(one;1,6) + u(one;6,1)")
+    a1, a2 = map(parse_param, GL13_GL12)
     with _Stopwatch() as watch:
         matchings = enumerate_strong_matchings(a1, a2)
         brute = oracle_matchings(a1, a2, STRONG_FAMILIES)
-    arthur_step = Matching(
-        (MatchedPair(SpehDatum(ONE, 1, 7), SpehDatum(ONE, 1, 6), MoveFamily.F1),),
-        (SpehDatum(ONE, 5, 1), SpehDatum(CHI, 1, 1)),
-        (SpehDatum(ONE, 6, 1),),
-    )
-    dual_steps = Matching(
-        (
-            MatchedPair(SpehDatum(ONE, 1, 7), SpehDatum(ONE, 6, 1), MoveFamily.F3),
-            MatchedPair(SpehDatum(ONE, 5, 1), SpehDatum(ONE, 1, 6), MoveFamily.F4),
-        ),
-        (SpehDatum(CHI, 1, 1),),
-        (),
-    )
     assert len(matchings) == 2
-    assert set(matchings) == {arthur_step, dual_steps}
+    assert set(matchings) == set(GL13_GL12_MATCHINGS)
     assert brute == set(matchings)
     assert watch.elapsed < 0.050
 
@@ -222,7 +198,7 @@ def test_c06c_duality_covariance():
         (TRIV3, ST2),
         (parse_param("st(5)"), parse_param("triv(4)")),
         (parse_param("u(rho;2,3)"), parse_param("u(rho;3,1) + rho + rho")),
-        (parse_param("u(one;1,7) + u(one;5,1) + chi"), parse_param("u(one;1,6) + u(one;6,1)")),
+        tuple(map(parse_param, GL13_GL12)),
     ]
     with _Stopwatch() as watch:
         for a1, a2 in fixtures + _criterion6_pairs(616103):
@@ -280,14 +256,6 @@ def test_c07_sl2_suite():
             equal_seen += same_restriction
         assert equal_seen > 1000
     assert watch.elapsed < 30.0
-
-
-SIGN_PATTERNS = {
-    ("Q", STANDARD): (1, -1),
-    ("Q", OPPOSITE): (-1, 1),
-    ("Z", STANDARD): (-1, 1),
-    ("Z", OPPOSITE): (1, -1),
-}
 
 
 def test_c08_jacquet_suite():
@@ -366,6 +334,13 @@ def _random_value(rng):
     return SegmentRep(rng.choice(("Z", "Q")), segment)
 
 
+# The CLI goldens of criteria 1-4.
+C10_GOLDENS = (
+    "ext_triv3_st2", "ext_st5_triv4", "strong_counterexample", "matchings_gl13_gl12",
+    "ext_triv3_st2_json", "strong_counterexample_json", "matchings_gl13_gl12_json",
+)
+
+
 def test_c10_round_trips_and_cli_golden_files(capsys):
     """criterion 10: DSL round trips and byte-exact CLI golden files
 
@@ -374,26 +349,6 @@ def test_c10_round_trips_and_cli_golden_files(capsys):
     within 30 s.
     """
     rng = random.Random(1010)
-    golden_dir = Path(__file__).parent / "golden"
-    exit_codes = json.loads((golden_dir / "exit_codes.json").read_text(encoding="utf-8"))
-    cli_fixtures = {
-        "ext_triv3_st2": ["ext", "triv(3)", "st(2)"],
-        "ext_st5_triv4": ["ext", "st(5)", "triv(4)"],
-        "strong_counterexample": ["strong", "u(rho;2,3)", "u(rho;3,1)+rho+rho"],
-        "matchings_gl13_gl12": [
-            "matchings",
-            "u(one;1,7) + u(one;5,1) + chi",
-            "u(one;1,6) + u(one;6,1)",
-        ],
-        "ext_triv3_st2_json": ["ext", "--json", "triv(3)", "st(2)"],
-        "strong_counterexample_json": ["strong", "--json", "u(rho;2,3)", "u(rho;3,1)+rho+rho"],
-        "matchings_gl13_gl12_json": [
-            "matchings",
-            "--json",
-            "u(one;1,7) + u(one;5,1) + chi",
-            "u(one;1,6) + u(one;6,1)",
-        ],
-    }
     with _Stopwatch() as watch:
         for _ in range(10_000):
             value = _random_value(rng)
@@ -404,9 +359,9 @@ def test_c10_round_trips_and_cli_golden_files(capsys):
             else:
                 assert parse_rep(format_segment_rep(value)) == value
                 assert parse_segment(format_segment(value.segment)) == value.segment
-        for name, argv in cli_fixtures.items():
-            code = main(argv)
+        for name in C10_GOLDENS:
+            code = main(GOLDEN_ARGV[name])
             out = capsys.readouterr().out
-            assert out.encode() == (golden_dir / f"{name}.out").read_bytes(), name
-            assert code == exit_codes[name], name
+            assert out.encode() == (GOLDEN / f"{name}.out").read_bytes(), name
+            assert code == EXIT_CODES[name], name
     assert watch.elapsed < 30.0

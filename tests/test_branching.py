@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from spehcalc import (
     Matching,
-    ArthurParameter,
     CuspidalSymbol,
     HypothesisError,
     MoveFamily,
@@ -35,14 +34,9 @@ from _gen import (
     random_segment_type_related_pair,
     segment_type_draw,
 )
+from _fixtures import ONE, RHO, param
 
-ONE = CuspidalSymbol("one")
-RHO = CuspidalSymbol("rho")
 SIGMA = CuspidalSymbol("sigma", 2)
-
-
-def param(*terms):
-    return ArthurParameter(tuple(SpehDatum(rho, a, b) for rho, a, b in terms))
 
 
 class TestHomBranching:

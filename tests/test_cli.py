@@ -18,39 +18,13 @@ from unittest import mock
 import pytest
 
 import spehcalc
-from spehcalc import Matching, ParseError, format_param, parse_param, parse_rep, parse_segment, parse_support
+from spehcalc import Matching, ParseError, format_param
+from spehcalc.branching import BranchingVerdict
 from spehcalc.cli import main
+from spehcalc.relevance import STRONG_FAMILIES, find_matching
 from _gen import LARGE_FALSE_DRAWS, segment_type_draw
-
-GOLDEN = Path(__file__).parent / "golden"
-EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-
-GOLDEN_ARGV = {
-    "ext_triv3_st2": ["ext", "triv(3)", "st(2)"],
-    "ext_st5_triv4": ["ext", "st(5)", "triv(4)"],
-    "strong_counterexample": ["strong", "u(rho;2,3)", "u(rho;3,1)+rho+rho"],
-    "matchings_gl13_gl12": [
-        "matchings",
-        "u(one;1,7) + u(one;5,1) + chi",
-        "u(one;1,6) + u(one;6,1)",
-    ],
-    "hom_triv3_st2": ["hom", "triv(3)", "st(2)"],
-    "relevant_st2_triv1": ["relevant", "st(2)", "triv(1)"],
-    "ext_triv3_st2_json": ["ext", "--json", "triv(3)", "st(2)"],
-    "strong_counterexample_json": ["strong", "--json", "u(rho;2,3)", "u(rho;3,1)+rho+rho"],
-    "matchings_gl13_gl12_json": [
-        "matchings",
-        "--json",
-        "u(one;1,7) + u(one;5,1) + chi",
-        "u(one;1,6) + u(one;6,1)",
-    ],
-    # captured before relevant, strong and hom shared one verdict handler
-    "hom_st2_triv1": ["hom", "st(2)", "triv(1)"],
-    "hom_st2_triv1_json": ["hom", "--json", "st(2)", "triv(1)"],
-    "relevant_st2_triv1_json": ["relevant", "--json", "st(2)", "triv(1)"],
-    "relevant_triv3_st2": ["relevant", "triv(3)", "st(2)"],
-    "strong_triv3_st2": ["strong", "triv(3)", "st(2)"],
-}
+from _fixtures import (CHILD_ENV, EXIT_CODES, GOLDEN, GOLDEN_ARGV, GL13_GL12, PARSE_ERRORS, PARSERS, ST2, TRIV3,
+                       run_capped)
 
 # csupp goldens were captured from the expanded-twist implementation
 CSUPP_PARAM = "u(rho;2,3) + u(sigma:2;3,3) + u(rho;1,2) + chi + u(rho;3,1)"
@@ -60,14 +34,6 @@ CSUPP_GOLDEN_ARGV = {
     "csupp_segment_rep": ["csupp", "Z[-1/2..5/2]{rho}"],
     "csupp_segment_rep_json": ["csupp", "--json", "Z[-1/2..5/2]{rho}"],
 }
-
-
-# Parse-error goldens, captured before the one-pass tokenizer (the entries
-# from "u_term_as_symbol" on, before whole Speh terms became one token): for
-# each input, the error's text, span and expected set, and where a
-# subcommand reads that kind of input, its exit code, stdout and stderr.
-PARSE_ERRORS = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))
-PARSERS = {f.__name__: f for f in (parse_param, parse_rep, parse_segment, parse_support)}
 
 
 def run(capsys, argv):
@@ -287,7 +253,7 @@ class TestFlags:
     def test_only_the_printed_form_is_rendered(self, capsys):
         """Text output encodes no matching as JSON, and ``--json`` output
         formats no term: each command renders only what it prints."""
-        pair = GOLDEN_ARGV["matchings_gl13_gl12"][1:]
+        pair = GL13_GL12
         with mock.patch.object(
             Matching, "to_json_dict", autospec=True, side_effect=Matching.to_json_dict
         ) as to_json:
@@ -382,6 +348,32 @@ class TestErrorChannels:
             assert err.startswith("internal error: terms (")
             assert err.endswith(") are not an F4 pair\n")
 
+    @pytest.mark.parametrize("flags", [(), ("--json",), ("--quiet",)], ids=["text", "json", "quiet"])
+    def test_a_certificate_outside_the_verdicts_families_exits_4(self, capsys, monkeypatch, flags):
+        # relevant and hom check their certificate under F1 and F2 alone, so
+        # the strong verdict's F3 certificate handed to them is refused
+        # before anything is printed, under --quiet too
+        strong = find_matching(TRIV3, ST2, STRONG_FAMILIES)
+        monkeypatch.setattr("spehcalc.cli.find_matching", lambda a1, a2, families: strong)
+        monkeypatch.setattr("spehcalc.cli.hom_branch_arthur", lambda a1, a2: BranchingVerdict(True, strong, "matcher"))
+        for command in ("relevant", "hom"):
+            code, out, err = run(capsys, [command, *flags, "triv(3)", "st(2)"])
+            assert (code, out) == (4, ""), command
+            assert err.startswith("internal error: pair ")
+            assert err.endswith(" uses family F3, not one of F1, F2\n")
+
+    @pytest.mark.parametrize("command", ["strong", "ext", "matchings"])
+    def test_a_certificate_of_another_pair_exits_4(self, capsys, monkeypatch, command):
+        # strong, ext and each of matchings' certificates, the last one too,
+        # are checked against the pair before anything is printed
+        strong = find_matching(TRIV3, ST2, STRONG_FAMILIES)
+        monkeypatch.setattr("spehcalc.cli.find_matching", lambda a1, a2, families: Matching())
+        monkeypatch.setattr("spehcalc.cli.ext_branch_segment_type",
+                            lambda a1, a2: BranchingVerdict(True, Matching(), "matcher"))
+        monkeypatch.setattr("spehcalc.cli.enumerate_strong_matchings", lambda a1, a2: [strong, Matching()])
+        code, out, err = run(capsys, [command, "--quiet", "triv(3)", "st(2)"])
+        assert (code, out, err) == (4, "", "internal error: matching does not reconstruct the parameter pair\n")
+
     def test_support_restriction_disagreement_exit_4(self, capsys, monkeypatch):
         # a fault inside the same-support comparison is reported, never read as a verdict
         def boom(param):
@@ -435,16 +427,14 @@ def test_import_leaves_json_and_fractions_unloaded():
     in: the value types are plain ``__slots__`` classes.  It does load all
     seven spehcalc modules, each eagerly (the benchmark's import breakdown
     reads one ``-X importtime`` line for each)."""
-    src = str(Path(spehcalc.__file__).resolve().parents[1])
     probe = (
         "import sys, spehcalc.cli; "
         "print(sorted({'json', 'fractions', 'decimal', 'dataclasses', 'inspect'} & set(sys.modules))); "
         "print(sorted(m for m in sys.modules if m.startswith('spehcalc.')))"
     )
-    env = {**os.environ, "PYTHONPATH": src}
     # -S: no site hooks, which may import modules of their own
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, encoding="utf-8",
-                          check=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=CHILD_ENV, capture_output=True,
+                          encoding="utf-8", check=True)
     unloaded, loaded = proc.stdout.splitlines()
     assert unloaded == "[]"
     modules = ("branching", "cli", "core", "dsl", "relevance", "segments", "sl2")
@@ -461,20 +451,9 @@ class TestHugeSegments:
     # one length moved by one on each side: same dimension, other support
     FALSE = ("u(rho;1,1000000000) + u(rho;2,1)", "u(rho;1000000001,1) + u(rho;1,1)")
 
-    @staticmethod
-    def run_capped(args):
-        import resource
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        env = {**os.environ, "PYTHONPATH": str(Path(spehcalc.__file__).resolve().parents[1])}
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True, encoding="utf-8",
-                              timeout=60, preexec_fn=cap)
-
     @pytest.mark.parametrize("pair, code, out", [(TRUE, 0, "Ext != 0\n"), (FALSE, 1, "Ext = 0\n")])
     def test_samegroup_cli(self, pair, code, out):
-        proc = self.run_capped(["-m", "spehcalc.cli", "samegroup", *pair])
+        proc = run_capped("-m", "spehcalc.cli", "samegroup", *pair)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
     @pytest.mark.parametrize("pair, verdict", [(TRUE, True), (FALSE, False)])
@@ -483,7 +462,7 @@ class TestHugeSegments:
             "import sys; from spehcalc import parse_param, same_group_ext_segment_type; "
             "print(same_group_ext_segment_type(*map(parse_param, sys.argv[1:])))"
         )
-        proc = self.run_capped(["-c", probe, *pair])
+        proc = run_capped("-c", probe, *pair)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{verdict}\n", "")
 
 
@@ -491,15 +470,10 @@ class TestClosedStdout:
     """A reader that closes stdout before the output is written leaves the
     verdict in the exit code: no ``internal error``, nothing on stderr."""
 
-    @staticmethod
-    def command(*argv):
-        env = {**os.environ, "PYTHONPATH": str(Path(spehcalc.__file__).resolve().parents[1])}
-        return [sys.executable, "-m", "spehcalc.cli", *argv], env
-
     def test_large_output_closed_after_20_bytes_exits_0(self):
         # about 1.2 MB of support, far more than a pipe holds
-        argv, env = self.command("csupp", "u(rho;300,300)")
-        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        argv = [sys.executable, "-m", "spehcalc.cli", "csupp", "u(rho;300,300)"]
+        with subprocess.Popen(argv, env=CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             head = proc.stdout.read(20)
             proc.stdout.close()
             stderr = proc.stderr.read()
@@ -511,9 +485,9 @@ class TestClosedStdout:
     def test_verdict_to_a_closed_reader_keeps_its_exit_code(self, command, code, flags):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        argv, env = self.command(command, *flags, "triv(3)", "st(2)")
+        argv = [sys.executable, "-m", "spehcalc.cli", command, *flags, "triv(3)", "st(2)"]
         try:
-            proc = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+            proc = subprocess.run(argv, env=CHILD_ENV, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (code, b"")

@@ -46,8 +46,8 @@ from spehcalc.relevance import MatchedPair, Matching, MoveFamily
 from spehcalc.segments import JacquetResult, Segment, SegmentRep
 from spehcalc.sl2 import DiagonalRestriction
 from _gen import near_miss_segment_type_pair, random_segment_type_related_pair
+from _fixtures import RHO, spell_u_terms
 
-RHO = CuspidalSymbol("rho")
 SIGMA = CuspidalSymbol("sigma")
 
 
@@ -600,19 +600,6 @@ def spelled_term(s: SpehDatum, rng: random.Random) -> str:
     return rng.choice(options)
 
 
-def spelled_u_terms(terms, rng: random.Random) -> str:
-    """The terms as u-terms only, with every degree spelling, leading
-    zeros and both separators: the whole-text path reads this."""
-    def number(n):
-        return rng.choice(("", "0", "00")) + str(n)
-
-    parts = [f"u({spelled_symbol(s.rho, rng)};{number(s.a)},{number(s.b)})" for s in terms]
-    text = parts[0]
-    for part in parts[1:]:
-        text += rng.choice((" + ", "+", " x ", "\tx\n")) + part
-    return text
-
-
 class TestParameterLines:
     """A parameter is stored per cuspidal line: per symbol, the distinct
     (a, b) of its terms and their copies.  It must behave as the sorted
@@ -633,7 +620,7 @@ class TestParameterLines:
         shuffled = list(terms)
         rng.shuffle(shuffled)
         first = ArthurParameter(terms)
-        u_text = spelled_u_terms(shuffled, rng) if terms else "0"
+        u_text = spell_u_terms(shuffled, rng) if terms else "0"
         plain_text = " + ".join(spelled_term(s, rng) for s in shuffled) if terms else "0"
         values = [
             first,

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,9 +27,7 @@ from spehcalc import (
     parse_segment,
     parse_support,
 )
-
-ONE = CuspidalSymbol("one")
-RHO = CuspidalSymbol("rho")
+from _fixtures import ONE, PARSERS, PARSE_ERRORS, RHO
 
 
 # strategies
@@ -145,10 +140,6 @@ def span_of(text: str) -> tuple[int, int, frozenset]:
         parse_param(text)
     err = info.value
     return err.span.start, err.span.end, err.expected
-
-
-PARSE_ERRORS = json.loads((Path(__file__).parent / "golden" / "parse_errors.json").read_text(encoding="utf-8"))
-PARSERS = {f.__name__: f for f in (parse_param, parse_rep, parse_segment, parse_support)}
 
 
 class TestErrors:

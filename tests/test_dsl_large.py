@@ -29,11 +29,11 @@ from spehcalc import (
     parse_support,
 )
 from spehcalc import dsl
+from _fixtures import SPACES, spell_u_terms
 
 # Names include the keywords that are plain symbols when not followed by
 # "(" or "[", and "one", the trivial line, which has degree 1.
 NAMES = ("one", "rho", "sigma", "chi", "tau_2", "nu", "u", "st", "triv", "Z", "Q", "_c9")
-SPACES = ("", "", " ", "  ", "\t", "\n ")
 
 
 def symbol_pool(rng: random.Random) -> list[CuspidalSymbol]:
@@ -184,22 +184,6 @@ def test_an_overlong_integer_fails_alike_on_both_paths():
     assert outcomes[1:] == outcomes[:-1]
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
         assert outcomes[0][0] is ValueError
-
-
-def spell_u_terms(param: ArthurParameter, rng: random.Random) -> str:
-    """format_param's text, with "+" or "x" separators, random whitespace
-    around them, leading zeros and explicit degrees 1, "one:1" among them."""
-    def number(n: int) -> str:
-        return "0" * rng.choice((0, 0, 1, 3)) + str(n)
-
-    parts = []
-    for s in param:
-        degree = ":" + number(s.rho.degree) if s.rho.degree > 1 or rng.random() < 0.2 else ""
-        parts.append(f"u({s.rho.id}{degree};{number(s.a)},{number(s.b)})")
-    text = parts[0]
-    for part in parts[1:]:
-        text += rng.choice(("+", " + ", "x ", " x ", "\tx\n", "\n+\t")) + part
-    return rng.choice(SPACES) + text + rng.choice(SPACES)
 
 
 @settings(max_examples=12, deadline=None)

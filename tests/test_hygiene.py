@@ -151,19 +151,28 @@ def test_only_values_unpack_the_field_writers():
 def test_compatibility_is_checked_apart_from_the_partner_table():
     """``MoveFamily.compatible``, which every ``MatchedPair`` and
     ``Matching.validate`` check a certificate by, spells out the family
-    equations (``relevance._EQUATIONS``); it reads neither
-    ``_partner_keys`` nor ``_KEY_INDEX``, which the search finds partners
-    by, so a fault in that table cannot pass its own check."""
+    equations (``relevance._EQUATIONS``); neither it nor ``validate``
+    (with the ``_term_counts`` it counts terms by) reads ``_partner_keys``
+    or ``_KEY_INDEX``, which the search finds partners by, nor the
+    search's ``_option_tables`` or ``_Line``, so a fault in the search
+    cannot pass its own check."""
     tree = MODULES[PACKAGE / "relevance.py"]
-    family = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "MoveFamily")
-    compatible = next(n for n in family.body if isinstance(n, ast.FunctionDef) and n.name == "compatible")
+
+    def method(class_name, name):
+        cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name)
+        return next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    compatible, validate = method("MoveFamily", "compatible"), method("Matching", "validate")
     equations = next(
         n for n in tree.body
         if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "_EQUATIONS" for t in n.targets)
     )
-    reads = _reads(compatible) + _reads(equations)
-    assert reads["_EQUATIONS"] == 1
-    assert reads["_partner_keys"] == reads["_KEY_INDEX"] == 0
+    counts = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_term_counts")
+    assert (_reads(compatible) + _reads(equations))["_EQUATIONS"] == 1
+    assert _reads(validate)[".compatible"] == 1
+    for node in (compatible, equations, validate, counts):
+        reads = _reads(node)
+        assert [name for name in ("_partner_keys", "_KEY_INDEX", "_option_tables", "_Line") if reads[name]] == []
 
 
 def test_only_the_base_record_defines_equality_and_hash():

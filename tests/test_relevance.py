@@ -33,18 +33,7 @@ from spehcalc import relevance
 from spehcalc.relevance import GGP_FAMILIES, STRONG_FAMILIES, enumerate_matchings, find_matching
 from _gen import SYMBOLS, near_miss_pair, random_pair, random_param, random_related_pair
 from _oracles import oracle_compatible, oracle_matchings
-
-ONE = CuspidalSymbol("one")
-RHO = CuspidalSymbol("rho")
-CHI = CuspidalSymbol("chi")
-
-
-def param(*terms):
-    return ArthurParameter(tuple(SpehDatum(rho, a, b) for rho, a, b in terms))
-
-
-TRIV3 = param((ONE, 1, 3))
-ST2 = param((ONE, 2, 1))
+from _fixtures import CHI, GL13_GL12_MATCHINGS, GOLDEN, ONE, RHO, ST2, TRIV3, param
 
 
 class TestGgpRelevance:
@@ -89,20 +78,7 @@ class TestEnumeration:
         a2 = param((ONE, 1, 6), (ONE, 6, 1))
         matchings = enumerate_strong_matchings(a1, a2)
         assert len(matchings) == 2
-        arthur_step = Matching(
-            (MatchedPair(SpehDatum(ONE, 1, 7), SpehDatum(ONE, 1, 6), MoveFamily.F1),),
-            (SpehDatum(ONE, 5, 1), SpehDatum(CHI, 1, 1)),
-            (SpehDatum(ONE, 6, 1),),
-        )
-        dual_steps = Matching(
-            (
-                MatchedPair(SpehDatum(ONE, 1, 7), SpehDatum(ONE, 6, 1), MoveFamily.F3),
-                MatchedPair(SpehDatum(ONE, 5, 1), SpehDatum(ONE, 1, 6), MoveFamily.F4),
-            ),
-            (SpehDatum(CHI, 1, 1),),
-            (),
-        )
-        assert set(matchings) == {arthur_step, dual_steps}
+        assert set(matchings) == set(GL13_GL12_MATCHINGS)
         assert set(matchings) == oracle_matchings(a1, a2, STRONG_FAMILIES)
 
     def test_single_dual_matching(self):
@@ -188,7 +164,7 @@ class TestJson:
         matchings = enumerate_strong_matchings(a1, a2)
         for m in matchings:
             assert Matching.from_json_dict(m.to_json_dict()) == m
-        golden = Path(__file__).parent / "golden" / "copies_2_strong_json.out"
+        golden = GOLDEN / "copies_2_strong_json.out"
         text = json.dumps([m.to_json_dict() for m in matchings]) + "\n"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -223,9 +199,7 @@ class TestLargeInputs:
 # droppable terms on three lines against nothing.  For each family set the
 # first certificate (null when there is none) and, for pairs with at most
 # 30 matchings, the whole sorted enumeration.
-FIRST_MATCHINGS = json.loads(
-    (Path(__file__).parent / "golden" / "first_matchings.json").read_text(encoding="utf-8")
-)
+FIRST_MATCHINGS = json.loads((GOLDEN / "first_matchings.json").read_text(encoding="utf-8"))
 FAMILY_SETS = {"ggp": GGP_FAMILIES, "strong": STRONG_FAMILIES}
 
 
@@ -516,6 +490,17 @@ class TestMatchingValue:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 matching.validate(a1, a2)
         Matching((pair,), (SpehDatum(CHI, 1, 1),)).validate(param((RHO, 1, 3), (CHI, 1, 1)), param((RHO, 1, 2)))
+
+    def test_validate_checks_the_family_set(self):
+        """The F3 certificate of trivial(3)/Steinberg(2) is a strong
+        certificate, not a Hom one: it validates under the four families,
+        as by default, and fails under F1 and F2 with its own message."""
+        certificate = find_matching(TRIV3, ST2, STRONG_FAMILIES)
+        certificate.validate(TRIV3, ST2)
+        certificate.validate(TRIV3, ST2, STRONG_FAMILIES)
+        (pair,) = certificate.pairs
+        with pytest.raises(ValueError, match=f"^{re.escape(f'pair {pair} uses family F3, not one of F1, F2')}$"):
+            certificate.validate(TRIV3, ST2, GGP_FAMILIES)
 
     def test_validate_tells_degrees_apart(self):
         """One symbol id at two degrees names two cuspidal lines: a

@@ -25,10 +25,9 @@ from spehcalc import (
     whittaker_dim,
 )
 from spehcalc.segments import OPPOSITE, STANDARD
+from _fixtures import ONE, RHO, SIGN_PATTERNS
 
-RHO = CuspidalSymbol("rho")
 SIGMA = CuspidalSymbol("sigma", 2)
-ONE = CuspidalSymbol("one")
 
 
 def seg(symbol, a, b):
@@ -144,14 +143,6 @@ class TestDualsAndDerivatives:
         assert speh_from_segment_rep(rep) == SpehDatum(RHO, 2, 1)
         with pytest.raises(ValueError):
             speh_from_segment_rep(SegmentRep("Q", seg(RHO, 0, 1)))
-
-
-SIGN_PATTERNS = {
-    ("Q", STANDARD): (1, -1),
-    ("Q", OPPOSITE): (-1, 1),
-    ("Z", STANDARD): (-1, 1),
-    ("Z", OPPOSITE): (1, -1),
-}
 
 
 class TestJacquet:

@@ -14,16 +14,13 @@ shows up here first.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import spehcalc
 from spehcalc.cli import build_parser
+from _fixtures import run_capped
 
 N = 10**9
 RHO_REPR, SIGMA_REPR = "CuspidalSymbol(id='rho', degree=1)", "CuspidalSymbol(id='sigma', degree=1)"
@@ -210,20 +207,9 @@ CLI = [
 ]
 
 
-def run_capped(probes: list[tuple[str, str]]) -> subprocess.CompletedProcess:
-    """Run the probes in one child under a 1 GiB address-space cap."""
-    import resource
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = {**os.environ, "PYTHONPATH": str(Path(spehcalc.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-c", PRELUDE, json.dumps(probes)], env=env, capture_output=True,
-                          encoding="utf-8", timeout=60, preexec_fn=cap)
-
-
 def answers(probes: list[tuple[str, str]]) -> dict[tuple[str, str], str]:
-    proc = run_capped(probes)
+    """The probes' values, run in one capped child."""
+    proc = run_capped("-c", PRELUDE, json.dumps(probes))
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-2000:]
     return {(name, expression): value for name, expression, value in map(json.loads, proc.stdout.splitlines())}
 

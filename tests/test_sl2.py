@@ -25,8 +25,8 @@ from spehcalc import (
     tensor_pair_recovery,
 )
 from _gen import random_param, support_preserving_variant
+from _fixtures import RHO
 
-RHO = CuspidalSymbol("rho")
 # four cuspidal lines: two symbols of degree 1, one of degree 2, and one
 # id again at degree 3
 SYMBOLS = (RHO, CuspidalSymbol("sigma"), CuspidalSymbol("tau", 2), CuspidalSymbol("rho", 3))
