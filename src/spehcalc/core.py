@@ -22,13 +22,16 @@ class _Record:
     """Base of the immutable value types: ``__slots__`` classes that
     behave as frozen dataclasses with the same fields.
 
-    A subclass lists its fields, in order, as its ``__slots__``.  Its
+    A subclass lists its fields, in order, as its ``__slots__``; a slot
+    there whose name begins with an underscore is hidden instead: no
+    field, and in none of ``__match_args__``, ``repr``, the key or
+    pickles (``ArthurParameter._ends``).  Its
     ``__init__`` checks its arguments and, unless it is one of the values
     the searches build in bulk (see ``_Value``), writes its fields in one
-    call, ``_set(*values)``, which hands them in slot order to
+    call, ``_set(*values)``, which hands them in field order to
     ``_setters`` (the slots' own writers, which get past the
     ``__setattr__`` that refuses every assignment) and refuses a count
-    that differs from the slots'.
+    that differs from the fields'.
     Equality (only with values of the same class) and hash compare and
     hash the record's key, ``_key(record)``: its fields, or the slots
     that a class attribute ``_key_slots`` names (``_Value``'s
@@ -47,17 +50,18 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in fields)
         # The key slot, or a tuple of the key slots.
-        cls._key = attrgetter(*getattr(cls, "_key_slots", cls.__slots__))
-        cls.__match_args__ = cls.__slots__
+        cls._key = attrgetter(*getattr(cls, "_key_slots", fields))
+        cls.__match_args__ = fields
 
     def _set(self, *values: object) -> None:
         for write, value in zip(self._setters, values, strict=True):
             write(self, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -68,7 +72,7 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._fields()))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -240,7 +244,7 @@ class _ByLines(_Record):
     def __getattr__(self, name: str) -> object:
         # Called only for an attribute not found: the field before its
         # first read, built here once.
-        if name != self.__slots__[0]:
+        if name != self.__match_args__[0]:
             raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
         value = self._expand()
         self._set(value)
@@ -250,7 +254,7 @@ class _ByLines(_Record):
         return self._from_lines, (self._lines,)
 
     def __iter__(self) -> Iterator:
-        return iter(getattr(self, self.__slots__[0]))
+        return iter(getattr(self, self.__match_args__[0]))
 
     def __len__(self) -> int:
         return sum(map(sum, map(_third, self._lines)))
@@ -373,12 +377,26 @@ class ArthurParameter(_ByLines):
     copies as the sums: equality, hashing, pickling, ``len`` and ``dim``
     read these ints alone, and so do the deciders.  ``terms`` is built
     from them on its first read, one ``SpehDatum`` per distinct term.
+
+    The hidden ``_ends`` holds the ends of the restriction to the
+    diagonal SL2 (``_restriction_lines``), walked on its first read and
+    kept, so that ``csupp_param``, ``diagonal_restriction`` and
+    ``same_cuspidal_support`` walk a parameter once between them.  It is
+    no field and not in the key: pickles and copies do not carry it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_ends")
 
     def __init__(self, terms: Iterable[SpehDatum] = ()) -> None:
         _set_lines(self, _canonical_lines((s.rho, (s.a, s.b), 1) for s in terms))
+
+    def __getattr__(self, name: str) -> object:
+        # _ends before its first read, walked here once; terms is _ByLines'
+        if name != "_ends":
+            return _ByLines.__getattr__(self, name)
+        ends = _restriction_lines(self)
+        _set_ends(self, ends)
+        return ends
 
     def _expand(self) -> tuple[SpehDatum, ...]:
         terms: list[SpehDatum] = []
@@ -393,6 +411,9 @@ class ArthurParameter(_ByLines):
         for rho, keys, counts in self._lines:
             total += rho.degree * sum(map(mul, starmap(mul, keys), counts))
         return total
+
+
+_set_ends = ArthurParameter._ends.__set__
 
 
 def csupp_speh(s: SpehDatum) -> CuspidalMultiset:
@@ -410,28 +431,33 @@ def csupp_speh(s: SpehDatum) -> CuspidalMultiset:
 def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     """Cuspidal support of a parameter: multiset union over its terms.
 
-    Read off the ends of the diagonal restriction (``_restriction_lines``).
-    The support of u_rho(a, b) is a trapezoid in the doubled exponent,
-    from 2-(a+b) to (a+b)-2, whose multiplicities have second difference
-    +1 at 2-(a+b) and 2+(a+b), -1 at 2-|a-b| and 2+|a-b|, and 0
-    elsewhere: an end of step s at dimension d puts -s there at the two
-    doubled exponents 1+d and 3-d.  On each cuspidal line, with ``top``
-    its largest end, two prefix sums with stride 2 (one per parity) over
-    the doubled exponents 3-top to top+1 give the multiplicities, in
-    O(terms + span).  The support keeps each line's nonzero counts and
-    their exponents as ints; no twist is built.
+    Read off the ends of the diagonal restriction, which the parameter
+    keeps (``ArthurParameter._ends``).  The support of u_rho(a, b) is a
+    trapezoid in the doubled exponent, from 2-(a+b) to (a+b)-2, whose
+    multiplicities have second difference +1 at 2-(a+b) and 2+(a+b), -1
+    at 2-|a-b| and 2+|a-b|, and 0 elsewhere: an end of step s at
+    dimension d puts -s there at the two doubled exponents 1+d and 3-d,
+    both of the parity of d+1.  On each cuspidal line, with ``top`` its
+    largest end, the doubled exponents run from 3-top to top+1; a double
+    prefix sum over each parity class that holds an end gives the
+    multiplicities, in O(terms + span).  A term's two ends have one
+    parity, so a line whose ends all share top's fills one class, of
+    ``top`` entries; only a line that mixes both parities fills both,
+    interleaved.  The support keeps each line's nonzero counts and their
+    exponents as ints; no twist is built.
     """
     lines = []
-    for rho, ends, steps in _restriction_lines(param):
+    for rho, ends, steps in param._ends:
         top = ends[-1]
-        low = 3 - top
-        count = [0] * (2 * top - 1)  # index = doubled exponent - low
+        classes = 2 if any((top - d) & 1 for d in ends) else 1
+        stride = 3 - classes  # between the doubled exponents of the entries
+        count = [0] * ((2 * top - 2) // stride + 1)  # index = (doubled exponent - (3 - top)) / stride
         for d, step in zip(ends, steps):
-            count[d + top - 2] -= step
-            count[top - d] -= step
-        for parity in (0, 1):
-            count[parity::2] = accumulate(accumulate(count[parity::2]))
-        exponents = tuple(compress(range(low, low + len(count)), count))
+            count[(d + top - 2) // stride] -= step
+            count[(top - d) // stride] -= step
+        for parity in range(classes):
+            count[parity::classes] = accumulate(accumulate(count[parity::classes]))
+        exponents = tuple(compress(range(3 - top, top + 2, stride), count))
         lines.append((rho, exponents, tuple(filter(None, count))))
     return CuspidalMultiset._from_lines(tuple(lines))
 
@@ -445,8 +471,10 @@ def _restriction_lines(param: ArthurParameter) -> tuple[_LineTriple, ...]:
     on its symbol a term adds +1 at |a-b|+1 and -1 at a+b+1, its copies
     all at once.  One walk over param's lines, in O(distinct terms)
     whatever a and b are; no Clebsch-Gordan piece, twist or Speh datum is
-    built.  Two parameters have the same restriction, and so the same
-    cuspidal support, exactly when their lines are equal.
+    built.  The walk runs once a parameter, on the first read of
+    ``param._ends``, which keeps its result; read that, not this.  Two
+    parameters have the same restriction, and so the same cuspidal
+    support, exactly when their lines are equal.
     """
     lines = []
     for rho, keys, counts in param._lines:

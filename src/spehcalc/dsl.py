@@ -383,45 +383,47 @@ def format_symbol(symbol: CuspidalSymbol) -> str:
     return f"{symbol.id}:{symbol.degree}"
 
 
-def _format_u(symbol_text: str, ab: tuple[int, int]) -> str:
-    """u(symbol_text;a,b), the canonical text of a Speh term."""
-    a, b = ab
-    return f"u({symbol_text};{a},{b})"
+def _u_texts(symbol_text: str, keys: tuple[tuple[int, int], ...]) -> list[str]:
+    """The canonical texts u(symbol_text;a,b) of a line's (a, b) keys."""
+    return [f"u({symbol_text};{a},{b})" for a, b in keys]
 
 
 def format_term(s: SpehDatum) -> str:
-    return _format_u(format_symbol(s.rho), (s.a, s.b))
+    # the template of _u_texts, spelled out: certificates format term by term
+    return f"u({format_symbol(s.rho)};{s.a},{s.b})"
 
 
-def _format_lines(lines: tuple, format_key: Callable[[str, object], str], separator: str) -> str:
-    """The text of a value's lines: each symbol formatted once a line and
-    each key once, by format_key(symbol text, key), the text repeated by
-    the key's sum and the copies joined by separator."""
+def _format_lines(lines: tuple, spell: Callable[[str, tuple], list[str]], separator: str) -> str:
+    """The text of a value's lines: each symbol formatted once a line, and
+    the line's keys spelled by one call spell(symbol text, keys), with no
+    call per key; each text is repeated by its key's sum and the copies
+    joined by separator."""
     parts = []
     for symbol, keys, sums in lines:
-        symbol_text = format_symbol(symbol)
-        parts += [(format_key(symbol_text, key) + separator) * n for key, n in zip(keys, sums)]
+        parts += [(text + separator) * n for text, n in zip(spell(format_symbol(symbol), keys), sums)]
     return "".join(parts)[:-len(separator)]
 
 
 def format_param(param: ArthurParameter) -> str:
-    return _format_lines(param._lines, _format_u, " + ") or "0"
+    return _format_lines(param._lines, _u_texts, " + ") or "0"
 
 
-def _format_twist(symbol_text: str, doubled: int) -> str:
-    if doubled == 0:
-        return symbol_text
-    if doubled % 2 == 0:
-        return f"nu^{doubled // 2} {symbol_text}"
-    return f"nu^({doubled}/2) {symbol_text}"
+def _twist_texts(symbol_text: str, exponents: tuple[int, ...]) -> list[str]:
+    """The canonical texts of a line's twists of symbol_text, by doubled
+    exponent: the bare symbol at 0, nu^k at an integer k, nu^(d/2) at a
+    half-integer."""
+    return [
+        symbol_text if d == 0 else f"nu^{d // 2} {symbol_text}" if d % 2 == 0 else f"nu^({d}/2) {symbol_text}"
+        for d in exponents
+    ]
 
 
 def format_twisted(t: TwistedCuspidal) -> str:
-    return _format_twist(format_symbol(t.symbol), t.exponent.doubled)
+    return _twist_texts(format_symbol(t.symbol), (t.exponent.doubled,))[0]
 
 
 def format_support(support: CuspidalMultiset) -> str:
-    return "{" + _format_lines(support._lines, _format_twist, ", ") + "}"
+    return "{" + _format_lines(support._lines, _twist_texts, ", ") + "}"
 
 
 def format_segment(segment: Segment) -> str:

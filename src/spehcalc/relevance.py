@@ -515,8 +515,11 @@ def same_cuspidal_support(a1: ArthurParameter, a2: ArthurParameter) -> bool:
 
     The restrictions are compared by the ends of their runs of equal
     multiplicity (``sl2.DiagonalRestriction``), in O(terms) whatever a
-    and b are, with no twist or entry built.  ``csupp_param`` reads the
-    support off the same ends, so equal ends mean equal supports and
-    conversely; the independent checks, against the rectangles of twists
-    and the Clebsch-Gordan pieces one by one, live in the tests."""
+    and b are, with no twist or entry built; each parameter's ends are
+    walked once and kept, so a later ``csupp_param`` or
+    ``diagonal_restriction`` of either reuses them.  ``csupp_param``
+    reads the support off the same ends, so equal ends mean equal
+    supports and conversely; the independent checks, against the
+    rectangles of twists and the Clebsch-Gordan pieces one by one, live
+    in the tests."""
     return diagonal_restriction(a1) == diagonal_restriction(a2)

@@ -6,7 +6,9 @@ integers only.  A restriction to the diagonal SL2 is stored and compared
 by the ends of its runs of equal multiplicity, in O(terms) whatever the
 dimensions; its entries are built on their first read.  The ends come
 from ``core._restriction_lines``, the one walk over a parameter's terms,
-off which ``csupp_param`` also reads the cuspidal support.
+which runs once a parameter: the parameter keeps the ends as its hidden
+``_ends``, off which ``csupp_param`` also reads the cuspidal support and
+``relevance.same_cuspidal_support`` compares two parameters.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .core import (
     CuspidalSymbol,
     _ByLines,
     _canonical_lines,
-    _restriction_lines,
     _set_lines,
 )
 
@@ -92,5 +93,7 @@ class DiagonalRestriction(_ByLines):
 def diagonal_restriction(param: ArthurParameter) -> DiagonalRestriction:
     """Restrict each term's V_a (x) V_b to the diagonal SL2 and collect
     the resulting (symbol, dimension) multiset, stored by the ends that
-    ``core._restriction_lines`` writes in O(terms); no entry is built."""
-    return DiagonalRestriction._from_lines(_restriction_lines(param))
+    the parameter keeps (``ArthurParameter._ends``), walked in O(terms)
+    on their first read and shared with ``csupp_param``; no entry is
+    built."""
+    return DiagonalRestriction._from_lines(param._ends)

@@ -10,6 +10,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -38,13 +39,13 @@ from spehcalc import (
     strong_ext_relevant,
     whittaker_dim,
 )
-from spehcalc import dsl
+from spehcalc import core, dsl
 from spehcalc.branching import BranchingVerdict, same_group_ext_segment_type
 from spehcalc.core import half_range
 from spehcalc.dsl import SourceSpan, format_support, format_twisted, parse_support
 from spehcalc.relevance import MatchedPair, Matching, MoveFamily
 from spehcalc.segments import JacquetResult, Segment, SegmentRep
-from spehcalc.sl2 import DiagonalRestriction
+from spehcalc.sl2 import DiagonalRestriction, diagonal_restriction
 from _gen import near_miss_segment_type_pair, random_segment_type_related_pair
 from _fixtures import RHO, spell_u_terms
 
@@ -372,6 +373,57 @@ class TestSameSupportByRectangles:
         assert parities == {0, 1} and squares > 100
 
 
+def spelled_twist(symbol: CuspidalSymbol, doubled: int) -> str:
+    """The canonical text of one twist, spelled here apart from dsl."""
+    name = symbol.id if symbol.degree == 1 else f"{symbol.id}:{symbol.degree}"
+    if doubled == 0:
+        return name
+    return f"nu^{doubled // 2} {name}" if doubled % 2 == 0 else f"nu^({doubled}/2) {name}"
+
+
+class TestSupportsExhaustively:
+    @pytest.mark.parametrize("symbols,largest,sizes", [((RHO,), 5, (3276, 654)),
+                                                       ((RHO, CuspidalSymbol("tau", 2)), 3, (1330, 429))],
+                             ids=["one_line", "two_lines"])
+    def test_every_small_parameter(self, symbols, largest, sizes):
+        """Every parameter of at most 3 terms with a, b <= largest over
+        the symbols, checked against its rectangles of twists counted one
+        by one: csupp_param, its len and its text, and
+        same_cuspidal_support on every pair of distinct supports and
+        between every parameter and one of equal support.  The sizes:
+        3276 parameters on the line of rho with a, b <= 5 (654 distinct
+        supports), and 1330 on rho and tau of degree 2 with a, b <= 3
+        (429 supports).
+        Each set includes lines whose ends have both parities, so both
+        parity classes of the support kernel run."""
+        types = [SpehDatum(rho, a, b) for rho in symbols for a in range(1, largest + 1)
+                 for b in range(1, largest + 1)]
+        by_support: dict[tuple, list[ArthurParameter]] = {}
+        mixed = 0
+        for k in range(4):
+            for terms in combinations_with_replacement(types, k):
+                param = ArthurParameter(terms)
+                counts = Counter((s.rho.sort_key, i2 + j2) for s in terms
+                                 for j2 in range(1 - s.b, s.b, 2) for i2 in range(1 - s.a, s.a, 2))
+                twist_list = sorted(counts.items())
+                text = ", ".join(spelled_twist(CuspidalSymbol(*key), e) for (key, e), m in twist_list
+                                 for _ in range(m))
+                support = csupp_param(param)
+                assert format_support(support) == "{" + text + "}"
+                assert len(support) == sum(counts.values())
+                mixed += any(len({(s.a + s.b) % 2 for s in terms if s.rho == rho}) == 2 for rho in symbols)
+                by_support.setdefault(tuple(twist_list), []).append(param)
+        assert mixed > 100
+        first = [params[0] for params in by_support.values()]
+        for params in by_support.values():
+            for param in params:
+                assert same_cuspidal_support(params[0], param)
+        for i, p in enumerate(first):
+            for q in first[i + 1:]:
+                assert not same_cuspidal_support(p, q)
+        assert (sum(map(len, by_support.values())), len(by_support)) == sizes
+
+
 def runs_built(support: CuspidalMultiset) -> bool:
     """True once support's ``runs`` has been read (the plain attribute
     lookup, which does not build them)."""
@@ -558,6 +610,16 @@ def terms_built(param: ArthurParameter) -> bool:
     return True
 
 
+def ends_kept(param: ArthurParameter) -> bool:
+    """True once param's restriction ends have been walked and kept (the
+    slot's own reader, which does not walk them)."""
+    try:
+        ArthurParameter.__dict__["_ends"].__get__(param)
+    except AttributeError:
+        return False
+    return True
+
+
 class _ParentParameterPickle:
     """Pickles as a parameter did when it was stored as its terms: the
     class called on the sorted term tuple."""
@@ -669,6 +731,51 @@ class TestParameterLines:
         assert terms_built(parsed) and parsed.terms == eager.terms
         with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'terms'$"):
             parsed.terms = ()
+
+    def test_kept_ends_walk_each_parameter_once(self, monkeypatch):
+        """One support operation's calls on p and q, as the support
+        benchmark makes them, walk each parameter's terms once: the walk
+        is counted by parameter, and repeating the calls walks neither
+        again."""
+        walked = Counter()
+        walk = core._restriction_lines
+
+        def counted(param):
+            walked[id(param)] += 1
+            return walk(param)
+
+        monkeypatch.setattr(core, "_restriction_lines", counted)
+        p = parse_param("u(rho;1,7) + u(rho;1,5) + u(rho;1,1) + u(sigma:2;1,4)")
+        q = parse_param("u(rho;7,1) + u(rho;1,5) + u(rho;1,1) + u(sigma:2;4,1)")
+        for _ in range(2):
+            assert same_cuspidal_support(p, q) and same_group_ext_segment_type(p, q)
+            support = csupp_param(p)
+            restriction = diagonal_restriction(p)
+            assert csupp_param(q) == support and diagonal_restriction(q) == restriction
+        assert walked == {id(p): 1, id(q): 1}
+
+    def test_kept_ends_are_invisible(self):
+        """A parameter whose ends were read pickles byte-identically at
+        every protocol, prints, compares, hashes and copies as an equal
+        parameter whose ends were never read; its class's slots and match
+        arguments are unchanged, and a copy or an unpickled value carries
+        no ends."""
+        text = "u(rho;3,5) + u(rho;2,4) + u(sigma:2;1,4) + u(sigma:2;4,1)"
+        read, fresh = parse_param(text), parse_param(text)
+        csupp_param(read)
+        assert ends_kept(read) and not ends_kept(fresh)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(read, protocol) == pickle.dumps(fresh, protocol)
+            assert not ends_kept(pickle.loads(pickle.dumps(read, protocol)))
+        assert repr(read) == repr(fresh)
+        assert read == fresh and hash(read) == hash(fresh) and {fresh: 1}[read] == 1
+        for copied in (copy.copy(read), copy.deepcopy(read)):
+            assert copied == fresh and repr(copied) == repr(fresh) and not ends_kept(copied)
+        assert (type(read).__slots__, type(read).__match_args__) == (("terms", "_ends"), ("terms",))
+        assert read.__reduce__() == fresh.__reduce__()
+        assert ends_kept(read) and not ends_kept(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field '_ends'$"):
+            read._ends = ()
 
     def test_deciders_build_no_speh_datum(self, monkeypatch):
         """On large canonical texts over four cuspidal lines, parsing, both
