@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import ArthurParameter, SpehDatum, _Record
+from .core import ArthurParameter, SpehDatum, _Record, same_cuspidal_support
 from .dsl import format_term
 from .relevance import (
     GGP_FAMILIES,
     STRONG_FAMILIES,
     Matching,
     find_matching,
-    same_cuspidal_support,
 )
 from .segments import az_dual_speh, whittaker_dim
 

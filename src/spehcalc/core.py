@@ -379,10 +379,11 @@ class ArthurParameter(_ByLines):
     from them on its first read, one ``SpehDatum`` per distinct term.
 
     The hidden ``_ends`` holds the ends of the restriction to the
-    diagonal SL2 (``_restriction_lines``), walked on its first read and
-    kept, so that ``csupp_param``, ``diagonal_restriction`` and
-    ``same_cuspidal_support`` walk a parameter once between them.  It is
-    no field and not in the key: pickles and copies do not carry it.
+    diagonal SL2, in the format ``_restriction_lines`` states, walked on
+    its first read and kept, so that ``csupp_param``,
+    ``same_cuspidal_support`` and ``diagonal_restriction`` walk a
+    parameter once between them.  It is no field and not in the key:
+    pickles and copies do not carry it.
     """
 
     __slots__ = ("terms", "_ends")
@@ -431,8 +432,9 @@ def csupp_speh(s: SpehDatum) -> CuspidalMultiset:
 def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     """Cuspidal support of a parameter: multiset union over its terms.
 
-    Read off the ends of the diagonal restriction, which the parameter
-    keeps (``ArthurParameter._ends``).  The support of u_rho(a, b) is a
+    Read off the ends of the diagonal restriction that the parameter
+    keeps (``ArthurParameter._ends``, in the format of
+    ``_restriction_lines``).  The support of u_rho(a, b) is a
     trapezoid in the doubled exponent, from 2-(a+b) to (a+b)-2, whose
     multiplicities have second difference +1 at 2-(a+b) and 2+(a+b), -1
     at 2-|a-b| and 2+|a-b|, and 0 elsewhere: an end of step s at
@@ -462,19 +464,34 @@ def csupp_param(param: ArthurParameter) -> CuspidalMultiset:
     return CuspidalMultiset._from_lines(tuple(lines))
 
 
+def same_cuspidal_support(a1: ArthurParameter, a2: ArthurParameter) -> bool:
+    """Whether the two parameters carry the same cuspidal support,
+    equivalently restrict identically to the diagonal SL2: whether the
+    ends they keep (``ArthurParameter._ends``), off which ``csupp_param``
+    reads the support, are equal; no twist or entry is built.  The
+    independent checks, against the rectangles of twists and the
+    Clebsch-Gordan pieces one by one, live in the tests."""
+    return a1._ends == a2._ends
+
+
 def _restriction_lines(param: ArthurParameter) -> tuple[_LineTriple, ...]:
-    """The ends of param's restriction to the diagonal SL2, as line
-    triples: per cuspidal symbol, in canonical order, the nonzero sums of
-    the stride-2 first difference of the multiplicities by dimension.
+    """The ends of param's restriction to the diagonal SL2.
+
+    This is the one statement of the ends' format, which
+    ``ArthurParameter._ends``, ``csupp_param``, ``same_cuspidal_support``
+    and ``sl2.DiagonalRestriction`` share: one line triple ``(symbol,
+    ends, steps)`` per cuspidal symbol of the restriction, in canonical
+    order, where ``ends`` are the dimensions d, strictly increasing, at
+    which the multiplicity of V_d differs from that of V_(d-2) (the ends
+    of the runs of equal multiplicity in each parity class), and
+    ``steps`` those differences, nonzero ints.
 
     V_a (x) V_b restricts to V_d for d = |a-b|+1, |a-b|+3, ..., a+b-1, so
     on its symbol a term adds +1 at |a-b|+1 and -1 at a+b+1, its copies
     all at once.  One walk over param's lines, in O(distinct terms)
     whatever a and b are; no Clebsch-Gordan piece, twist or Speh datum is
     built.  The walk runs once a parameter, on the first read of
-    ``param._ends``, which keeps its result; read that, not this.  Two
-    parameters have the same restriction, and so the same cuspidal
-    support, exactly when their lines are equal.
+    ``param._ends``, which keeps its result; read that, not this.
     """
     lines = []
     for rho, keys, counts in param._lines:

@@ -18,7 +18,6 @@ from operator import attrgetter
 from typing import Iterable, Optional
 
 from .core import ArthurParameter, CuspidalSymbol, SpehDatum, _by_sort_key, _Value
-from .sl2 import diagonal_restriction
 
 
 class MoveFamily(Enum):
@@ -508,18 +507,3 @@ def enumerate_strong_matchings(a1: ArthurParameter, a2: ArthurParameter) -> list
     """All matchings under the four families (may exceed one)."""
     return enumerate_matchings(a1, a2, STRONG_FAMILIES)
 
-
-def same_cuspidal_support(a1: ArthurParameter, a2: ArthurParameter) -> bool:
-    """Whether the two parameters restrict identically to the diagonal
-    SL2, equivalently carry the same cuspidal support.
-
-    The restrictions are compared by the ends of their runs of equal
-    multiplicity (``sl2.DiagonalRestriction``), in O(terms) whatever a
-    and b are, with no twist or entry built; each parameter's ends are
-    walked once and kept, so a later ``csupp_param`` or
-    ``diagonal_restriction`` of either reuses them.  ``csupp_param``
-    reads the support off the same ends, so equal ends mean equal
-    supports and conversely; the independent checks, against the
-    rectangles of twists and the Clebsch-Gordan pieces one by one, live
-    in the tests."""
-    return diagonal_restriction(a1) == diagonal_restriction(a2)

@@ -3,12 +3,10 @@
 Irreducibles are identified by their dimension d >= 1 (V_d); the zero
 object V_0 is never stored, so multisets of dimensions contain positive
 integers only.  A restriction to the diagonal SL2 is stored and compared
-by the ends of its runs of equal multiplicity, in O(terms) whatever the
-dimensions; its entries are built on their first read.  The ends come
-from ``core._restriction_lines``, the one walk over a parameter's terms,
-which runs once a parameter: the parameter keeps the ends as its hidden
-``_ends``, off which ``csupp_param`` also reads the cuspidal support and
-``relevance.same_cuspidal_support`` compares two parameters.
+by its ends, in the format that ``core._restriction_lines`` states and
+in O(terms) whatever the dimensions; its entries are built on their
+first read.  A parameter's restriction wraps the ends it keeps
+(``ArthurParameter._ends``).
 """
 
 from __future__ import annotations
@@ -52,11 +50,9 @@ class DiagonalRestriction(_ByLines):
     canonical multiset of (cuspidal symbol, irreducible dimension) pairs.
 
     ``entries`` holds the pairs sorted by (symbol id, degree, dimension).
-    The value itself keeps, per cuspidal symbol, the first difference of
-    the multiplicities by dimension with stride 2: the multiplicity of
-    V_d minus that of V_(d-2), nonzero only at the ends of the runs of
-    equal multiplicity.  Equality, hashing, pickling and ``len`` read
-    these ints alone, in O(terms) for a restriction of a parameter;
+    The value itself keeps only the ends, as its lines, in the format of
+    ``core._restriction_lines``.  Equality, hashing, pickling and ``len``
+    read these ints alone, in O(terms) for a restriction of a parameter;
     ``entries`` is built from them on its first read, stepping from one
     end to the next, in O(entries + ends).  Dimensions are positive: an
     entry below 1 raises ``ValueError``.
@@ -92,8 +88,7 @@ class DiagonalRestriction(_ByLines):
 
 def diagonal_restriction(param: ArthurParameter) -> DiagonalRestriction:
     """Restrict each term's V_a (x) V_b to the diagonal SL2 and collect
-    the resulting (symbol, dimension) multiset, stored by the ends that
-    the parameter keeps (``ArthurParameter._ends``), walked in O(terms)
-    on their first read and shared with ``csupp_param``; no entry is
-    built."""
+    the resulting (symbol, dimension) multiset: a wrapper of the ends the
+    parameter keeps (``ArthurParameter._ends``; see
+    ``core._restriction_lines``); no entry is built."""
     return DiagonalRestriction._from_lines(param._ends)

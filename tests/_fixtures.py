@@ -74,6 +74,13 @@ GOLDEN_ARGV = {
     "relevant_st2_triv1_json": ["relevant", "--json", "st(2)", "triv(1)"],
     "relevant_triv3_st2": ["relevant", "triv(3)", "st(2)"],
     "strong_triv3_st2": ["strong", "triv(3)", "st(2)"],
+    # captured before same_cuspidal_support moved from relevance to core
+    "samegroup_triv4_st4": ["samegroup", "triv(4)", "st(4)"],
+    "samegroup_rho_chi": ["samegroup", "u(rho;1,2)", "u(chi;1,2)"],
+    "samegroup_triv4_st4_json": ["samegroup", "--json", "triv(4)", "st(4)"],
+    "samegroup_rho_chi_json": ["samegroup", "--json", "u(rho;1,2)", "u(chi;1,2)"],
+    "ep_st5_st4": ["ep", "st(5)", "st(4)"],
+    "ep_st5_triv4_json": ["ep", "--json", "st(5)", "triv(4)"],
 }
 
 # Parse-error goldens, captured before the one-pass tokenizer (the entries

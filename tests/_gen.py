@@ -252,3 +252,22 @@ def random_generic_pair(rng: random.Random, max_n: int = 20):
         return ArthurParameter(tuple(terms))
 
     return fill(n), fill(n - 1)
+
+
+def every_param(n: int, symbols=SYMBOLS[:1]) -> list[ArthurParameter]:
+    """Every Arthur parameter of dimension n over the symbols: each
+    multiset of terms u(rho;a,b), rho in symbols, with the sum of
+    degree*a*b equal to n, once, in no particular order."""
+    types = [SpehDatum(rho, a, b) for rho in symbols for a in range(1, n + 1)
+             for b in range(1, n // (rho.degree * a) + 1)]
+    params = []
+
+    def extend(start: int, remaining: int, terms: tuple) -> None:
+        if not remaining:
+            params.append(ArthurParameter(terms))
+        for i in range(start, len(types)):
+            if types[i].degree <= remaining:
+                extend(i, remaining - types[i].degree, terms + (types[i],))
+
+    extend(0, n, ())
+    return params

@@ -2,7 +2,25 @@
 
 from __future__ import annotations
 
-from spehcalc import Matching, MatchedPair, MoveFamily, SpehDatum
+from typing import Iterable
+
+from spehcalc import CuspidalSymbol, Matching, MatchedPair, MoveFamily, SpehDatum
+
+
+def oracle_rectangle(s: SpehDatum) -> list[int]:
+    """The a*b doubled exponents of u_rho(a, b)'s cuspidal support, one by
+    one: i + j for j over the centered Arthur segment of length b and i
+    over the centered Deligne segment of length a, both doubled.  The one
+    rectangle the support tests count twists by."""
+    return [j2 + i2 for j2 in range(1 - s.b, s.b, 2) for i2 in range(1 - s.a, s.a, 2)]
+
+
+def oracle_pieces(terms: Iterable[SpehDatum]) -> list[tuple[CuspidalSymbol, int]]:
+    """The Clebsch-Gordan pieces of the terms' restriction to the diagonal
+    SL2, one (rho, d) per piece, term by term: V_a (x) V_b is V_d for d =
+    a+b-1, a+b-3, ..., |a-b|+1.  Spelled here apart from
+    ``sl2.clebsch_gordan``; the one split the restriction tests use."""
+    return [(s.rho, d) for s in terms for d in range(s.a + s.b - 1, abs(s.a - s.b), -2)]
 
 
 def oracle_compatible(left: SpehDatum, right: SpehDatum, family: MoveFamily) -> bool:

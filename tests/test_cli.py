@@ -379,7 +379,8 @@ class TestErrorChannels:
         def boom(param):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("spehcalc.relevance.diagonal_restriction", boom)
+        # samegroup parses fresh parameters, so the walk runs on the first read of their ends
+        monkeypatch.setattr("spehcalc.core._restriction_lines", boom)
         code, out, err = run(capsys, ["samegroup", "triv(4)", "st(4)"])
         assert code == 4
         assert out == ""
@@ -392,7 +393,7 @@ class TestErrorChannels:
         def boom(param):
             raise ValueError("boom")
 
-        monkeypatch.setattr("spehcalc.relevance.diagonal_restriction", boom)
+        monkeypatch.setattr("spehcalc.core._restriction_lines", boom)
         code, out, err = run(capsys, ["samegroup", "triv(4)", "st(4)"])
         assert code == 4
         assert out == ""

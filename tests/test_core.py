@@ -24,7 +24,6 @@ from spehcalc import (
     SpehDatum,
     TwistedCuspidal,
     central_exponent,
-    clebsch_gordan,
     csupp_param,
     csupp_segment,
     csupp_speh,
@@ -48,6 +47,7 @@ from spehcalc.segments import JacquetResult, Segment, SegmentRep
 from spehcalc.sl2 import DiagonalRestriction, diagonal_restriction
 from _gen import near_miss_segment_type_pair, random_segment_type_related_pair
 from _fixtures import RHO, spell_u_terms
+from _oracles import oracle_pieces, oracle_rectangle
 
 SIGMA = CuspidalSymbol("sigma")
 
@@ -112,15 +112,12 @@ class TestSymbolsAndMultisets:
         assert not TwistedCuspidal(SIGMA, HalfInt(0)).same_line(base)
 
 
-def oracle_csupp_speh(s: SpehDatum) -> CuspidalMultiset:
-    """Expand the defining product: twisted square-integrable factors
-    nu^j delta_rho(a) for j over the centered Arthur segment, each
-    contributing the centered Deligne chain of exponents."""
-    entries = []
-    for j2 in range(-(s.b - 1), s.b, 2):
-        for i2 in range(-(s.a - 1), s.a, 2):
-            entries.append(TwistedCuspidal(s.rho, HalfInt(j2 + i2)))
-    return CuspidalMultiset(tuple(entries))
+def rectangle_twists(terms) -> list[TwistedCuspidal]:
+    """The twists of the terms' rectangles (``oracle_rectangle``), one by
+    one, term by term: the defining product's twisted square-integrable
+    factors nu^j delta_rho(a), each contributing the centered Deligne
+    chain of exponents."""
+    return [TwistedCuspidal(s.rho, HalfInt(e)) for s in terms for e in oracle_rectangle(s)]
 
 
 class TestCsupp:
@@ -131,7 +128,7 @@ class TestCsupp:
         assert csupp_speh(SpehDatum(RHO, 2, 1)) == twists(RHO, -1, 1)
 
     def test_two_by_two_rectangle(self):
-        # frozen from oracle_csupp_speh: product of nu^(1/2) and nu^(-1/2)
+        # frozen from the rectangle oracle: product of nu^(1/2) and nu^(-1/2)
         # twists of the length-2 discrete series
         assert csupp_speh(SpehDatum(RHO, 2, 2)) == twists(RHO, -2, 0, 0, 2)
 
@@ -142,7 +139,7 @@ class TestCsupp:
         support = csupp_speh(s)
         assert len(support) == a * b
         assert support == csupp_speh(SpehDatum(RHO, b, a))
-        assert support == oracle_csupp_speh(s)
+        assert support == CuspidalMultiset(rectangle_twists([s]))
 
     def test_param_union(self):
         assert csupp_param(ArthurParameter(())) == CuspidalMultiset(())
@@ -223,10 +220,8 @@ def large_params():
 
 def clebsch_gordan_split(param: ArthurParameter) -> ArthurParameter:
     """Every term u(rho;a,b) replaced by the segment terms u(rho;1,d), d
-    over the Clebsch-Gordan dimensions of V_a (x) V_b."""
-    return ArthurParameter(tuple(
-        SpehDatum(s.rho, 1, d) for s in param for d in clebsch_gordan(s.a, s.b)
-    ))
+    over the Clebsch-Gordan pieces of V_a (x) V_b (``oracle_pieces``)."""
+    return ArthurParameter(tuple(SpehDatum(rho, 1, d) for rho, d in oracle_pieces(param)))
 
 
 def assert_summaries_match(support: CuspidalMultiset, expanded: list[TwistedCuspidal]) -> None:
@@ -243,7 +238,7 @@ class TestLargeSupports:
     @settings(max_examples=10, deadline=None)
     @given(large_params())
     def test_param_support_is_union_of_rectangles(self, param):
-        rectangles = [oracle_csupp_speh(s) for s in param]
+        rectangles = [CuspidalMultiset(rectangle_twists([s])) for s in param]
         assert csupp_param(param) == rectangles[0].union(*rectangles[1:])
 
     @settings(max_examples=15, deadline=None)
@@ -316,15 +311,6 @@ class TestLargeSupports:
             assert same_group_ext_segment_type(left, right) == expected
 
 
-def speh_twists(s: SpehDatum) -> list[TwistedCuspidal]:
-    """The a-by-b rectangle of u_rho(a, b)'s twists, one by one."""
-    return [
-        TwistedCuspidal(s.rho, HalfInt(i2 + j2))
-        for j2 in range(-(s.b - 1), s.b, 2)
-        for i2 in range(-(s.a - 1), s.a, 2)
-    ]
-
-
 class TestSameSupportByRectangles:
     def test_same_support_is_equality_of_the_rectangles(self):
         """same_cuspidal_support agrees with comparing the twists of the
@@ -346,7 +332,7 @@ class TestSameSupportByRectangles:
             return ArthurParameter(tuple(terms))
 
         def rectangles(param):
-            return Counter(t for s in param for t in speh_twists(s))
+            return Counter(rectangle_twists(param))
 
         outcomes, parities, squares = Counter(), set(), 0
         for i in range(400):
@@ -403,8 +389,7 @@ class TestSupportsExhaustively:
         for k in range(4):
             for terms in combinations_with_replacement(types, k):
                 param = ArthurParameter(terms)
-                counts = Counter((s.rho.sort_key, i2 + j2) for s in terms
-                                 for j2 in range(1 - s.b, s.b, 2) for i2 in range(1 - s.a, s.a, 2))
+                counts = Counter((s.rho.sort_key, e) for s in terms for e in oracle_rectangle(s))
                 twist_list = sorted(counts.items())
                 text = ", ".join(spelled_twist(CuspidalSymbol(*key), e) for (key, e), m in twist_list
                                  for _ in range(m))
@@ -469,7 +454,7 @@ class TestSupportLines:
         summaries of the twists one by one.  The ways include pickle at
         every protocol, and the form pickles had when supports were stored
         as their runs."""
-        expanded = [t for s in param for t in speh_twists(s)]
+        expanded = rectangle_twists(param)
         expanded += [TwistedCuspidal(seg.rho, e) for seg in segments for e in seg.exponents()]
         expanded.sort(key=lambda t: t.sort_key)
         shuffled = list(expanded)
@@ -510,7 +495,7 @@ class TestSupportLines:
         """A support whose runs were never read compares, hashes,
         pickles, copies and prints as the one built from its twists, and
         only printing it builds the runs."""
-        eager = CuspidalMultiset([t for s in param for t in speh_twists(s)])
+        eager = CuspidalMultiset(rectangle_twists(param))
         assert eager.runs is not None and runs_built(eager)
         support = csupp_param(param)
         assert not runs_built(support)
@@ -563,9 +548,8 @@ class TestSupportLines:
             ))
             counts = Counter()
             for s in param:
-                for j2 in range(-(s.b - 1), s.b, 2):
-                    for i2 in range(-(s.a - 1), s.a, 2):
-                        counts[s.rho.id, s.rho.degree, i2 + j2] += 1
+                for e in oracle_rectangle(s):
+                    counts[s.rho.id, s.rho.degree, e] += 1
             text = "{" + ", ".join(
                 format_twisted(TwistedCuspidal(CuspidalSymbol(rho_id, degree), HalfInt(e)))
                 for (rho_id, degree, e), m in sorted(counts.items())

@@ -1,6 +1,7 @@
 """Code hygiene: every definition in the package is used somewhere, the
-package imports nothing outside the standard library, the CLI reads
-only the package's public names, only the base record defines equality
+package imports nothing outside the standard library, the matcher
+module imports only ``core`` of the package, the CLI reads only the
+package's public names, only the base record defines equality
 and hash, and family compatibility is checked apart from the search's
 partner table.
 
@@ -114,6 +115,29 @@ def test_package_imports_only_the_standard_library():
                 if top != "spehcalc" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == [], f"imports outside the standard library: {outside}"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package's own modules that tree imports, anywhere in it."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # the imported name under its module: a name of a module, or a submodule
+            module = ".".join(filter(None, ("spehcalc" if node.level else "", node.module)))
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        imported |= {name.split(".")[1] for name in names if name.startswith("spehcalc.")}
+    return imported
+
+
+def test_relevance_imports_only_core():
+    """The matcher module depends, among the package's own modules, on
+    ``core`` alone: the same-support comparison lives in ``core``, beside
+    the ends it reads, not in ``relevance`` over the ``sl2`` layer."""
+    assert _package_imports(MODULES[PACKAGE / "relevance.py"]) == {"core"}
 
 
 def test_cli_uses_only_public_names():

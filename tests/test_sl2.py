@@ -26,6 +26,7 @@ from spehcalc import (
 )
 from _gen import random_param, support_preserving_variant
 from _fixtures import RHO
+from _oracles import oracle_pieces
 
 # four cuspidal lines: two symbols of degree 1, one of degree 2, and one
 # id again at degree 3
@@ -136,11 +137,6 @@ def by_entry(entry):
     return symbol.sort_key, d
 
 
-def expanded(param: ArthurParameter) -> list:
-    """The restriction's (symbol, dimension) pairs one by one, in term order."""
-    return [(s.rho, d) for s in param for d in clebsch_gordan(s.a, s.b)]
-
-
 def entries_built(restriction: DiagonalRestriction) -> bool:
     """True once restriction's ``entries`` has been read (the plain
     attribute lookup, which does not build them)."""
@@ -200,7 +196,7 @@ class TestRestrictionByEnds:
         """A restriction whose entries were never read compares, hashes,
         pickles, copies and prints as the one built from its entries,
         and only printing it builds them."""
-        eager = DiagonalRestriction(reversed(expanded(param)))
+        eager = DiagonalRestriction(reversed(oracle_pieces(param)))
         assert eager.entries is not None and entries_built(eager)
         restriction = diagonal_restriction(param)
         assert not entries_built(restriction)
@@ -220,7 +216,7 @@ class TestRestrictionByEnds:
     def test_pickle_of_stored_entries_still_loads(self):
         param = ArthurParameter((SpehDatum(RHO, 3, 4), SpehDatum(RHO, 1, 2), SpehDatum(SYMBOLS[2], 5, 2)))
         restriction = diagonal_restriction(param)
-        old_form = _ParentForm(tuple(sorted(expanded(param), key=by_entry)))
+        old_form = _ParentForm(tuple(sorted(oracle_pieces(param), key=by_entry)))
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             loaded = pickle.loads(pickle.dumps(old_form, protocol))
             assert type(loaded) is DiagonalRestriction
@@ -254,7 +250,7 @@ class TestRestrictionByEnds:
             p = ArthurParameter(terms)
             dual = [SpehDatum(s.rho, s.b, s.a) if rng.random() < 0.5 else s for s in terms]
             thin = dual.pop()
-            split = dual + [SpehDatum(thin.rho, 1, d) for d in clebsch_gordan(thin.a, thin.b)]
+            split = dual + [SpehDatum(rho, 1, d) for rho, d in oracle_pieces([thin])]
             moved = list(terms)
             i = rng.choice([i for i, s in enumerate(terms) if s.b >= 2 and s.b != s.a + 1])
             moved[i] = SpehDatum(terms[i].rho, terms[i].a + 1, terms[i].b - 1)
