@@ -393,15 +393,20 @@ def format_term(s: SpehDatum) -> str:
     return f"u({format_symbol(s.rho)};{s.a},{s.b})"
 
 
-def _format_lines(lines: tuple, spell: Callable[[str, tuple], list[str]], separator: str) -> str:
-    """The text of a value's lines: each symbol formatted once a line, and
-    the line's keys spelled by one call spell(symbol text, keys), with no
-    call per key; each text is repeated by its key's sum and the copies
-    joined by separator."""
-    parts = []
+def _format_lines(lines: tuple, spell: Callable[[str, tuple], list[str]], separator: str,
+                  opening: str = "", closing: str = "") -> str:
+    """The text of a value's lines between opening and closing: each
+    symbol formatted once a line, and the line's keys spelled by one call
+    spell(symbol text, keys), with no call per key; each text is repeated
+    by its key's sum and the copies joined by separator.  The whole text
+    is built by one join, with the separator cut from the last part only."""
+    parts = [opening]
     for symbol, keys, sums in lines:
         parts += [(text + separator) * n for text, n in zip(spell(format_symbol(symbol), keys), sums)]
-    return "".join(parts)[:-len(separator)]
+    if lines:
+        parts[-1] = parts[-1][:-len(separator)]
+    parts.append(closing)
+    return "".join(parts)
 
 
 def format_param(param: ArthurParameter) -> str:
@@ -423,7 +428,7 @@ def format_twisted(t: TwistedCuspidal) -> str:
 
 
 def format_support(support: CuspidalMultiset) -> str:
-    return "{" + _format_lines(support._lines, _twist_texts, ", ") + "}"
+    return _format_lines(support._lines, _twist_texts, ", ", "{", "}")
 
 
 def format_segment(segment: Segment) -> str:

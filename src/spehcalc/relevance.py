@@ -199,6 +199,9 @@ def term_from_json(data: dict) -> SpehDatum:
 # the line's left copies minus its required right copies, so a flow that
 # saturates every left type saturates every required right type.  One
 # such flow per line, found before any line is searched, is the verdict.
+# Lines that one side alone occupies are built first: nothing pairs there,
+# so one with a term of Arthur dimension > 1 refutes the pair before any
+# network of a shared line is built.
 #
 # The search fixes the count on each option edge in turn (left types in
 # ``_order``; a drop, then F1-F4), leaving only later edges free.  The
@@ -350,14 +353,26 @@ def _send(line: _Line, part: list, source: int, target: int, free: int, most: in
 
 def _line_graphs(a1: ArthurParameter, a2: ArthurParameter, families: tuple[MoveFamily, ...]):
     """Each cuspidal line's ``_Line`` with a saturating flow, or None.
-    Read from the parameters' lines: no term is built or hashed."""
+    Read from the parameters' lines: no term is built or hashed.
+
+    The lines only ``a2`` occupies come first, then those only ``a1``
+    occupies, then the shared ones, each group in canonical order.  On a
+    one-sided line nothing pairs, so it holds a flow exactly when all its
+    terms have Arthur dimension 1.  An ``a2``-only line fails at the
+    negative-slack check, before any search; an ``a1``-only one at its
+    first left type with no option edge, whose one search reaches no
+    other node.  So a pair such a line refutes is refuted before any
+    shared line's network is built.  A line's left types are sorted by
+    ``_order`` only when it is built."""
     rights = {rho: list(zip(keys, counts)) for rho, keys, counts in a2._lines}
-    lines = [(rho, sorted(zip(keys, counts), key=_order), rights.pop(rho, ()))
-             for rho, keys, counts in a1._lines]
-    lines += [(rho, (), types) for rho, types in rights.items()]
+    left_lines = [(rho, zip(keys, counts), rights.pop(rho, ())) for rho, keys, counts in a1._lines]
+    lines = [(rho, (), types) for rho, types in rights.items()]
+    lines += [line for line in left_lines if not line[2]]
+    lines += [line for line in left_lines if line[2]]
     picks, offsets = _option_tables(tuple(families))
     graphs = []
-    for rho, lefts, types in lines:
+    for rho, left_types, types in lines:
+        lefts = sorted(left_types, key=_order)
         line = _Line(rho, lefts, types, picks, offsets)
         head, res, first = line.head, line.res, line.first
         sink = head[-2]  # the head of the slack node's edge

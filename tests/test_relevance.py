@@ -7,6 +7,7 @@ import json
 import random
 import re
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,41 @@ def test_enumeration_steps_down_on_the_live_flow(monkeypatch):
     assert len(matchings) == 1
     assert peak < 4 * 2**20
     assert 0 < len(calls) <= edges + len(lefts)
+
+
+@pytest.mark.parametrize("name", ["omega", "tau"])
+def test_one_sided_lines_refute_before_any_shared_line(monkeypatch, name):
+    """A relevant pair on three lines, all of them shared, plus one line
+    that one side alone holds with a term of Arthur dimension 2: every
+    verdict, certificate and enumeration builds the one-sided line's
+    network first and stops there, so exactly one ``_Line`` is built per
+    call, and on the right side's line no path is searched.  The
+    one-sided line's symbol sorts before every shared line (``omega``) or
+    after them all (``tau``)."""
+    a1, a2 = random_related_pair(random.Random(0), GGP_FAMILIES, 12, 5, SYMBOLS)
+    assert [line[0] for line in a1._lines] == [line[0] for line in a2._lines] == list(SYMBOLS)
+    builds, searches = [], []
+    build, search = relevance._Line, relevance._residual_path
+    monkeypatch.setattr(relevance, "_Line", lambda *args: builds.append(1) or build(*args))
+    monkeypatch.setattr(relevance, "_residual_path", lambda *args: searches.append(1) or search(*args))
+    calls = [ggp_relevant, strong_ext_relevant]
+    calls += [partial(certify, families=families) for certify in (find_matching, enumerate_matchings)
+              for families in (GGP_FAMILIES, STRONG_FAMILIES)]
+    for call in calls:
+        assert call(a1, a2)
+        assert len(builds) == 3
+        builds.clear()
+    symbol = CuspidalSymbol(name)
+    right_only = ArthurParameter((*a2.terms, SpehDatum(symbol, 1, 2)))
+    left_only = ArthurParameter((*a1.terms, SpehDatum(symbol, 2, 2)))
+    for call in calls:
+        searches.clear()
+        assert not call(a1, right_only)
+        assert len(builds) == 1 and not searches
+        builds.clear()
+        assert not call(left_only, a2)
+        assert len(builds) == 1
+        builds.clear()
 
 
 @pytest.mark.parametrize("families", [GGP_FAMILIES, STRONG_FAMILIES])
